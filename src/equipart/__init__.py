@@ -21,7 +21,7 @@ from .core import (
 from .meander import MeanderAssignment, meander_even, meander_odd
 from .oracle import CapExceededError, brute_force_partition, exists_partition
 from .scan import ScanRecord, ScanResult, run_scan
-from .solver import Reduction, SolveResult, classify_case, solve, solve_detailed
+from .solver import SolveResult, classify_case, solve, solve_detailed
 from .trace import (
     Trace,
     TracePropertyReport,
@@ -44,7 +44,6 @@ __all__ = [
     "Partition",
     "PreconditionError",
     "ProblemInstance",
-    "Reduction",
     "ScanRecord",
     "ScanResult",
     "SolveResult",

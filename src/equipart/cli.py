@@ -128,8 +128,7 @@ def _load_partition_file(path: str) -> tuple[int, int, int, list[list[int]]]:
     raw_sets = payload["sets"]
     if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise TypeError('"sets" must be a list of lists')
-    sets = [[_as_int(x) for x in s] for s in raw_sets]
-    return n, k, t, sets
+    return n, k, t, raw_sets
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -141,6 +140,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     instance = validate_instance(n, k, t)
     try:
         report = verify_partition(instance, sets)
+    except TypeError as exc:  # an element that is not an integer
+        print(f"malformed partition file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except WrongArityError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

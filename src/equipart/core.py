@@ -13,6 +13,7 @@ safe to call concurrently without locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 # Width contract: n is capped so the triangular number (< 2**62) and every
@@ -53,7 +54,7 @@ class InvariantError(RuntimeError):
     """An internal invariant failed; this always signals a bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemInstance:
     """A triple (n, k, t).  Build through :func:`validate_instance`."""
 
@@ -118,6 +119,18 @@ def validate_instance(n: int, k: int, t: int) -> ProblemInstance:
     return ProblemInstance(n, k, t)
 
 
+def sets_from_labels(owner: Sequence[int], k: int) -> list[list[int]]:
+    """Group the elements 1..len(owner)-1 into k sets by their label.
+
+    ``owner[x]`` is the 0-based set of element x; index 0 is not read. The
+    elements are visited in ascending order, so every set comes out sorted.
+    """
+    sets: list[list[int]] = [[] for _ in range(k)]
+    for x in range(1, len(owner)):
+        sets[owner[x]].append(x)
+    return sets
+
+
 def _candidate_sets(candidate: Partition | Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
     if isinstance(candidate, Partition):
         return candidate.sets
@@ -162,17 +175,23 @@ def verify_partition(
     """Check a candidate against the three partition conditions.
 
     The happy path is O(n) bulk work; a violating candidate triggers a
-    second pass that pins down the first offending set and element.
+    second pass that pins down the first offending set and element. Raises
+    TypeError if an element is not an ``int`` (``bool`` and ``float`` are
+    rejected too), before WrongArityError for a wrong number of sets.
     """
     sets = _candidate_sets(candidate)
+    element_types = set(map(type, chain.from_iterable(sets)))
+    if not element_types <= {int}:
+        names = ", ".join(sorted(cls.__name__ for cls in element_types - {int}))
+        raise TypeError(f"partition elements must be int, got {names}")
     if len(sets) != instance.k:
         raise WrongArityError(f"expected {instance.k} subsets, got {len(sets)}")
     n, t = instance.n, instance.t
-    total_len = sum(len(s) for s in sets)
+    total_len = sum(map(len, sets))
     union = set().union(*sets) if sets else set()
     disjoint = len(union) == total_len
     covers = len(union) == n and (n == 0 or (min(union) == 1 and max(union) == n))
-    sums_ok = all(sum(s) == t for s in sets)
+    sums_ok = set(map(sum, sets)) <= {t}
     if disjoint and covers and sums_ok:
         return VerificationReport(True, True, True, None)
     return _diagnose(n, t, sets)

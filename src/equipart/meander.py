@@ -14,10 +14,9 @@ so both cases place each element of {1..n} exactly once.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .core import InvariantError, Partition, PreconditionError, ProblemInstance
+from .core import Partition, PreconditionError, ProblemInstance, sets_from_labels
 
 
 class MeanderAssignment(NamedTuple):
@@ -49,60 +48,57 @@ def odd_assignments(n: int, k: int) -> Iterator[MeanderAssignment]:
             yield MeanderAssignment(j, i, "II", two_k * (i - 1) + (j - 1))
 
 
+def meander_fill(owner: list[int], slot: list[int], low: int, high: int) -> int:
+    """Label ``owner[low..high]`` with the meander pattern; returns the count.
+
+    The range is cut into blocks of ``2k`` consecutive values, k being the
+    length of ``slot``. Block i of the even case (low = 1) holds line II of
+    every set first, ascending in j, then line I, descending in j, so its
+    labels are ``slot + slot[::-1]``; the odd case (low = 0) is the same
+    pattern shifted down by one. The range must be a whole number of blocks.
+    """
+    block = slot + slot[::-1]
+    blocks = (high - low + 1) // len(block)
+    owner[low : high + 1] = block * blocks
+    return blocks * len(block)
+
+
+def _build(n: int, k: int, low: int) -> tuple[list[list[int]], int]:
+    owner = [0] * (n + 1)
+    insertions = meander_fill(owner, list(range(k)), low, n)
+    return sets_from_labels(owner, k), insertions
+
+
 def build_even(n: int, k: int) -> tuple[list[list[int]], int]:
     """Fill the k sets for the even case; returns (sets, insertion count).
 
-    Equivalent to consuming :func:`even_assignments`, but built from range
-    objects per set: within one set, line II of block i precedes line I of
-    block i, which precedes line II of block i + 1, so zipping the two
-    progressions already yields ascending order.
+    Equivalent to consuming :func:`even_assignments`; every set is ascending.
     """
-    two_k = 2 * k
-    sets: list[list[int]] = []
-    insertions = 0
-    for j in range(1, k + 1):
-        ascending = range(j, n - two_k + j + 1, two_k)  # line II
-        descending_anchor = range(two_k - j + 1, n - j + 2, two_k)  # line I
-        members = list(chain.from_iterable(zip(ascending, descending_anchor)))
-        insertions += len(members)
-        sets.append(members)
-    return sets, insertions
+    return _build(n, k, 1)
 
 
 def build_odd(n: int, k: int) -> tuple[list[list[int]], int]:
     """Fill the k sets for the odd case; returns (sets, insertion count).
 
-    The count includes the generated 0, which is removed from set 1 before
-    returning, so the count is n + 1 while the output covers {1..n}.
+    The count includes the generated 0, which lands in set 1 and is not
+    read back, so the count is n + 1 while the output covers {1..n}.
     """
-    two_k = 2 * k
-    sets: list[list[int]] = []
-    insertions = 0
-    for j in range(1, k + 1):
-        ascending = range(j - 1, n - two_k + j + 1, two_k)  # line II
-        descending_anchor = range(two_k - j, n - j + 2, two_k)  # line I
-        members = list(chain.from_iterable(zip(ascending, descending_anchor)))
-        insertions += len(members)
-        sets.append(members)
-    if not sets[0] or sets[0][0] != 0:
-        raise InvariantError("odd-case bookkeeping element 0 not generated first")
-    del sets[0][0]
-    return sets, insertions
+    return _build(n, k, 0)
 
 
 def meander_even(instance: ProblemInstance) -> Partition:
     """Solve an instance with n even and 2k | n in exactly n insertions."""
     n, k = instance.n, instance.k
-    if n % 2 != 0 or n % (2 * k) != 0:
+    if n % (2 * k) != 0:
         raise PreconditionError(f"even meander needs 2k | n, got n={n}, k={k}")
     sets, _ = build_even(n, k)
-    return Partition(instance, tuple(tuple(s) for s in sets))
+    return Partition(instance, tuple(map(tuple, sets)))
 
 
 def meander_odd(instance: ProblemInstance) -> Partition:
     """Solve an instance with n odd and 2k | n + 1 in n + 1 insertions."""
     n, k = instance.n, instance.k
-    if n % 2 != 1 or (n + 1) % (2 * k) != 0:
+    if (n + 1) % (2 * k) != 0:
         raise PreconditionError(f"odd meander needs 2k | n+1, got n={n}, k={k}")
     sets, _ = build_odd(n, k)
-    return Partition(instance, tuple(tuple(s) for s in sets))
+    return Partition(instance, tuple(map(tuple, sets)))

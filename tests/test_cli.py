@@ -111,6 +111,14 @@ def test_verify_rejects_missing_key_and_bad_types(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_rejects_non_integer_elements(capsys, tmp_path):
+    for sets in ([[1.5, 2, 3, 4]], [[True, 2, 3, 4]], [[1.0, 2, 3, 4]]):
+        path = _write(tmp_path, {"n": 4, "k": 1, "t": 10, "sets": sets})
+        code, out, err = run_cli(capsys, "verify", path)
+        assert code == 1, sets
+        assert "malformed partition file" in err and not out
+
+
 def test_verify_rejects_invalid_instance(capsys, tmp_path):
     path = _write(tmp_path, {"n": 5, "k": 2, "t": 7, "sets": [[5, 2], [3, 4, 1]]})
     code, _, err = run_cli(capsys, "verify", path)

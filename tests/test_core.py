@@ -141,6 +141,18 @@ def test_verify_wrong_arity():
         verify_partition(inst, [[1, 2, 3, 4]])
 
 
+@pytest.mark.parametrize("sets", [[[True, 2], [3]], [[1.0, 2], [3]], [[1, 2], ["3"]]])
+def test_verify_rejects_non_int_elements(sets):
+    # True == 1 and 1.0 == 1 would otherwise pass as the element 1
+    with pytest.raises(TypeError, match="must be int"):
+        verify_partition(validate_instance(3, 2, 3), sets)
+
+
+def test_verify_checks_element_types_before_arity():
+    with pytest.raises(TypeError):
+        verify_partition(validate_instance(3, 2, 3), [[True, 2, 3]])
+
+
 def test_verify_metamorphic_move_breaks_partition():
     # moving any single element between two subsets must break a sum
     from equipart.solver import solve

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from equipart.core import enumerate_instances, validate_instance, verify_partition
@@ -41,3 +44,26 @@ def test_every_small_instance_has_a_partition():
             partition = brute_force_partition(inst)
             assert partition is not None, (n, k, t)
             assert verify_partition(inst, partition).ok
+
+
+def test_search_deeper_than_the_stack_is_refused():
+    # one frame per element: n beyond the recursion limit is a cap error,
+    # not a RecursionError
+    inst = validate_instance(1100, 550, 1101)
+    with pytest.raises(CapExceededError, match="search depth"):
+        brute_force_partition(inst, cap=2000)
+    # within the stack it still searches
+    inst = validate_instance(400, 200, 401)
+    partition = brute_force_partition(inst, cap=400)
+    assert verify_partition(inst, partition).ok
+
+
+def test_cli_oracle_beyond_search_depth_exits_1_without_traceback():
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "oracle", "--n", "1100", "--k", "550", "--cap", "2000"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 1
+    assert "search depth" in done.stderr
+    assert "Traceback" not in done.stderr

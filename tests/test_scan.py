@@ -4,7 +4,6 @@ import math
 import pytest
 
 from equipart import solver
-from equipart.core import Partition
 from equipart.scan import depth_bound, depth_limit, run_scan, scan_instance, write_csv
 
 
@@ -64,13 +63,15 @@ def test_write_csv_exact_bytes():
 
 
 def test_scan_instance_detects_seeded_bug(monkeypatch):
-    real = solver.meander_even
+    real = solver.meander_fill
 
-    def broken_even(instance):
-        shifted = tuple(tuple(x + 1 for x in s) for s in real(instance).sets)
-        return Partition(instance, shifted)
+    def rotated_fill(owner, slot, low, high):
+        # every element takes the label meant for its successor
+        written = real(owner, slot, low, high)
+        owner[low : high + 1] = owner[low + 1 : high + 1] + owner[low : low + 1]
+        return written
 
-    monkeypatch.setattr(solver, "meander_even", broken_even)
-    record, violations = scan_instance(4, 1, 10)
+    monkeypatch.setattr(solver, "meander_fill", rotated_fill)
+    record, violations = scan_instance(8, 2, 18)
     assert record is not None and not record.verified
     assert any(v.kind == "verify" for v in violations)
