@@ -18,10 +18,9 @@ from .core import (
     validate_instance,
     verify_partition,
 )
-from .meander import MeanderAssignment, meander_even, meander_odd
-from .oracle import CapExceededError, brute_force_partition, exists_partition
+from .oracle import CapExceededError, brute_force_partition
 from .scan import ScanRecord, ScanResult, run_scan
-from .solver import SolveResult, classify_case, solve, solve_detailed
+from .solver import SolveResult, classify_case, meander_even, meander_odd, solve, solve_detailed
 from .trace import (
     Trace,
     TracePropertyReport,
@@ -38,7 +37,6 @@ __all__ = [
     "CapExceededError",
     "InstanceError",
     "InvariantError",
-    "MeanderAssignment",
     "N_MAX",
     "NonPositiveError",
     "Partition",
@@ -60,7 +58,6 @@ __all__ = [
     "check_trace_properties",
     "classify_case",
     "enumerate_instances",
-    "exists_partition",
     "meander_even",
     "meander_odd",
     "parse_trace",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 internal invariant violation (including scan violations).
+Exit codes: 0 success, 1 invalid input (including an instance too large
+for the memory available), 2 verification failure, 3 internal invariant
+violation (including scan violations).
 """
 
 from __future__ import annotations
@@ -54,17 +55,19 @@ def _write_text(out: TextIO, partition: Partition, trace_text: str | None) -> No
 
 def _write_json(out: TextIO, partition: Partition, trace_text: str) -> None:
     inst = partition.instance
-    out.write(f'{{"n": {inst.n}, "k": {inst.k}, "t": {inst.t}, ')
-    out.write(f'"trace": "{trace_text}", "sets": [')
-    for index, members in enumerate(partition.sets):
-        if index:
-            out.write(", ")
-        out.write("[")
-        for start in range(0, len(members), _CHUNK):
-            if start:
-                out.write(", ")
-            out.write(", ".join(map(str, members[start : start + _CHUNK])))
-        out.write("]")
+    header = {"n": inst.n, "k": inst.k, "t": inst.t, "trace": trace_text, "sets": []}
+    out.write(json.dumps(header)[:-2])  # open, without the closing "]}"
+    # runs of whole sets, cut once a run holds _CHUNK elements, written
+    # without their outer brackets
+    separator, run, size = "", [], 0
+    for members in partition.sets:
+        run.append(members)
+        size += len(members)
+        if size >= _CHUNK:
+            out.write(separator + json.dumps(run)[1:-1])
+            separator, run, size = ", ", [], 0
+    if run:
+        out.write(separator + json.dumps(run)[1:-1])
     out.write("]}\n")
 
 
@@ -228,6 +231,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVARIANT
     except ValueError as exc:  # invalid instances, bad ranges, oracle cap
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: not enough memory for this instance", file=sys.stderr)
         return EXIT_INVALID
 
 

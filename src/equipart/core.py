@@ -119,18 +119,6 @@ def validate_instance(n: int, k: int, t: int) -> ProblemInstance:
     return ProblemInstance(n, k, t)
 
 
-def sets_from_labels(owner: Sequence[int], k: int) -> list[list[int]]:
-    """Group the elements 1..len(owner)-1 into k sets by their label.
-
-    ``owner[x]`` is the 0-based set of element x; index 0 is not read. The
-    elements are visited in ascending order, so every set comes out sorted.
-    """
-    sets: list[list[int]] = [[] for _ in range(k)]
-    for x in range(1, len(owner)):
-        sets[owner[x]].append(x)
-    return sets
-
-
 def _candidate_sets(candidate: Partition | Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
     if isinstance(candidate, Partition):
         return candidate.sets

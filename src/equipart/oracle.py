@@ -70,7 +70,3 @@ def brute_force_partition(instance: ProblemInstance, cap: int = DEFAULT_CAP) -> 
         return None
     return Partition(instance, tuple(tuple(sorted(s)) for s in members))
 
-
-def exists_partition(instance: ProblemInstance, cap: int = DEFAULT_CAP) -> bool:
-    """True iff the brute-force search finds a partition."""
-    return brute_force_partition(instance, cap=cap) is not None

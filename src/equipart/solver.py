@@ -25,17 +25,23 @@ its whole range at once: the run cannot end in the meander case, because
 n - 2k = n (mod 2k). Every child instance is re-checked against the input
 contract before the descent continues, and reading ``owner`` in ascending
 order yields every set already sorted.
+
+The meander fills set j (1-based) from two progressions of stride 2k, a
+descending-anchored line I and an ascending line II:
+
+  even case, block i = 1 .. n/2k:       (I) 2ki - (j-1)    (II) 2k(i-1) + j
+  odd case,  block i = 1 .. (n+1)/2k:   (I) 2ki - j        (II) 2k(i-1) + (j-1)
+
+So each block of 2k consecutive values is labelled ``slot + slot[::-1]``.
+The odd case starts at 0 instead of 1: it also labels the bookkeeping cell
+``owner[0]``, which is not an element and is never read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvariantError, Partition, ProblemInstance, sets_from_labels
-# Not called here: bench/run.py --trace 1 wraps solver.meander_even and
-# solver.meander_odd, and reports its meander.* metrics as null without
-# them, which bench/smoke.py rejects.
-from .meander import meander_even, meander_fill, meander_odd  # noqa: F401
+from .core import InvariantError, Partition, PreconditionError, ProblemInstance
 from .trace import Trace, TraceSymbol
 
 # A reduction step: (owner, slot, n, k, t, per_step) -> (steps taken, child
@@ -76,6 +82,18 @@ def _check_child(parent: tuple[int, int, int], n: int, k: int, t: int) -> None:
         raise InvariantError(f"child target {t} below child size {n} (parent {parent})")
     if 2 * k * t != n * (n + 1):
         raise InvariantError(f"child sum mismatch: ({n}, {k}, {t}) from parent {parent}")
+
+
+def meander_fill(owner: list[int], slot: list[int], low: int, high: int) -> int:
+    """Label ``owner[low..high]`` with the meander pattern; returns the count.
+
+    The range must be a whole number of blocks of 2k values, k being the
+    length of ``slot``; low = 1 is the even case, low = 0 the odd one.
+    """
+    block = slot + slot[::-1]
+    blocks = (high - low + 1) // len(block)
+    owner[low : high + 1] = block * blocks
+    return blocks * len(block)
 
 
 def smaller_run(
@@ -125,6 +143,18 @@ def greater_odd(
     return 1, t - n - 1, k - filled, t, slot[filled:], 2 * filled
 
 
+def sets_from_labels(owner: list[int], k: int) -> list[list[int]]:
+    """Group the elements 1..len(owner)-1 into k sets by their label.
+
+    ``owner[x]`` is the 0-based set of element x; index 0 is not read. The
+    elements are visited in ascending order, so every set comes out sorted.
+    """
+    sets: list[list[int]] = [[] for _ in range(k)]
+    for x in range(1, len(owner)):
+        sets[owner[x]].append(x)
+    return sets
+
+
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:
     """Solve an instance and report the trace and total element placements."""
     n, k, t = instance.n, instance.k, instance.t
@@ -170,3 +200,18 @@ def solve(instance: ProblemInstance, *, record_steps: bool = False) -> tuple[Par
     """Solve an instance, returning the partition and its trace."""
     result = solve_detailed(instance, record_steps=record_steps)
     return result.partition, result.trace
+
+
+# Not called by the solver; kept because bench/run.py --trace 1 wraps these two names.
+def meander_even(instance: ProblemInstance) -> Partition:
+    """Solve an instance with n even and 2k | n in exactly n insertions."""
+    if instance.n % (2 * instance.k) != 0:
+        raise PreconditionError(f"even meander needs 2k | n, got n={instance.n}, k={instance.k}")
+    return solve_detailed(instance).partition
+
+
+def meander_odd(instance: ProblemInstance) -> Partition:
+    """Solve an instance with n odd and 2k | n + 1 in n + 1 insertions."""
+    if (instance.n + 1) % (2 * instance.k) != 0:
+        raise PreconditionError(f"odd meander needs 2k | n+1, got n={instance.n}, k={instance.k}")
+    return solve_detailed(instance).partition

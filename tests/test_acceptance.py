@@ -1,10 +1,12 @@
 """Acceptance gate: every shipped guarantee, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
-per criterion.  Criteria 3, 4, 5 and 8 share a single exhaustive scan of
+per criterion.  Criteria 3, 4, 5 and 8 and the scan CSV pin share one scan of
 every valid instance with n <= 2000 (module-scoped fixture).
 """
 
+import hashlib
+import io
 import time
 
 import pytest
@@ -17,9 +19,8 @@ from equipart.core import (
     validate_instance,
     verify_partition,
 )
-from equipart.meander import build_even, build_odd
 from equipart.oracle import brute_force_partition
-from equipart.scan import run_scan
+from equipart.scan import run_scan, write_csv
 from equipart.solver import solve, solve_detailed
 from equipart.trace import render_trace
 
@@ -150,17 +151,15 @@ def _divisors(m):
 def test_criterion_06_linear_meander_work():
     problems = []
     checked = 0
-    for n in range(2, 5001, 2):
-        for k in _divisors(n // 2):
-            _, count = build_even(n, k)
-            if count != n:
-                problems.append(f"even n={n} k={k}: {count} insertions")
-            checked += 1
-    for n in range(1, 5001, 2):
-        for k in _divisors((n + 1) // 2):
-            _, count = build_odd(n, k)
-            if count != n + 1:
-                problems.append(f"odd n={n} k={k}: {count} insertions")
+    for n in range(1, 5001):
+        odd = n % 2  # the odd case also labels the bookkeeping cell 0
+        for k in _divisors((n + odd) // 2):  # 2k | n, or 2k | n + 1
+            count = solver.meander_fill([-1] * (n + 1), list(range(k)), 1 - odd, n)
+            if count != n + odd:
+                problems.append(f"n={n} k={k}: meander_fill wrote {count} labels")
+            insertions = solve_detailed(validate_instance(n, k, triangular(n) // k)).insertions
+            if insertions != n:
+                problems.append(f"n={n} k={k}: solve reports {insertions} insertions")
             checked += 1
     _conclude(6, "meander insertion counters n<=5000", problems, f"{checked} instances")
 
@@ -198,6 +197,19 @@ def test_criterion_08_child_feasibility(exhaustive_scan):
         problems,
         f"all chains re-validated across {len(result.records)} instances",
     )
+
+
+# sha256 of the scan CSV for n <= 2000 (28,689 rows, 1,195,401 bytes)
+SCAN_CSV_SHA256 = "05a2aa39e030f18bb03fef0c6d19ce31b3a180f1b9139fa52a79de6b3389cc79"
+
+
+def test_scan_csv_bytes_are_pinned(exhaustive_scan):
+    result, _ = exhaustive_scan
+    buffer = io.StringIO()
+    write_csv(result.records, buffer)
+    data = buffer.getvalue().encode()
+    assert len(result.records) == 28689 and len(data) == 1195401
+    assert hashlib.sha256(data).hexdigest() == SCAN_CSV_SHA256
 
 
 def _meander_fill_line_one_off(owner, slot, low, high):

@@ -1,8 +1,16 @@
 import csv
 import io
 import json
+import resource
+import subprocess
+import sys
+
+import pytest
 
 from equipart.cli import main
+from equipart.core import triangular, validate_instance
+from equipart.solver import solve
+from equipart.trace import render_trace
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +70,40 @@ def test_solve_json_round_trips_through_verify(capsys, tmp_path):
     path.write_text(out)
     code, _, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (9, 3), (9999, 3), (10000, 2500)])
+def test_solve_json_is_the_stdlib_encoding(capsys, n, k):
+    # (9999, 3): sets near the writer's chunk size; (10000, 2500): many chunks
+    # of tiny sets
+    instance = validate_instance(n, k, triangular(n) // k)
+    partition, trace = solve(instance)
+    payload = {"n": n, "k": k, "t": instance.t, "trace": render_trace(trace), "sets": partition.sets}
+    code, out, _ = run_cli(capsys, "solve", "--n", str(n), "--k", str(k), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload) + "\n"
+
+
+def _limit_address_space():
+    # 1 GiB, far below the 8 GB label array of n = 10^9
+    limit = 1 << 30
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.parametrize("command", ["solve", "trace"])
+def test_instance_too_large_for_memory_exits_1_without_traceback(command):
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", command, "--n", "1000000000", "--k", "1"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 1
+    assert "error: not enough memory" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # --- verify -----------------------------------------------------------

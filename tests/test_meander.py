@@ -1,16 +1,41 @@
 from itertools import groupby
+from typing import Iterator, NamedTuple
 
 import pytest
 
 from equipart.core import PreconditionError, validate_instance, verify_partition
-from equipart.meander import (
-    build_even,
-    build_odd,
-    even_assignments,
-    meander_even,
-    meander_odd,
-    odd_assignments,
-)
+from equipart.solver import meander_even, meander_fill, meander_odd
+
+# --- spec oracle: the construction's lines I and II, one element at a time --
+
+
+class MeanderAssignment(NamedTuple):
+    """One generated element: set index j, block i (both 1-based), line label."""
+
+    set_index: int
+    block: int
+    label: str  # "I" or "II"
+    value: int
+
+
+def even_assignments(n: int, k: int) -> Iterator[MeanderAssignment]:
+    """Yield the even-case assignments in nested loop order (j outer, i inner)."""
+    two_k = 2 * k
+    blocks = n // two_k
+    for j in range(1, k + 1):
+        for i in range(1, blocks + 1):
+            yield MeanderAssignment(j, i, "I", two_k * i - (j - 1))
+            yield MeanderAssignment(j, i, "II", two_k * (i - 1) + j)
+
+
+def odd_assignments(n: int, k: int) -> Iterator[MeanderAssignment]:
+    """Yield the odd-case assignments, including the bookkeeping 0."""
+    two_k = 2 * k
+    blocks = (n + 1) // two_k
+    for j in range(1, k + 1):
+        for i in range(1, blocks + 1):
+            yield MeanderAssignment(j, i, "I", two_k * i - j)
+            yield MeanderAssignment(j, i, "II", two_k * (i - 1) + (j - 1))
 
 
 def even_case_ks(n):
@@ -74,7 +99,7 @@ def test_meander_odd_rejects_wrong_case():
         meander_odd(validate_instance(9, 3, 15))  # 6 does not divide 10
 
 
-# --- assignment streams vs bulk builders ----------------------------------
+# --- assignment streams vs the solver's meander ---------------------------
 
 
 def _sets_from_stream(assignments, k, drop_zero):
@@ -88,23 +113,29 @@ def _sets_from_stream(assignments, k, drop_zero):
     return [sorted(s) for s in sets], count
 
 
+def _solved(n, k, meander):
+    """The meander's sets as lists, and the labels meander_fill writes."""
+    sets = [list(s) for s in meander(validate_instance(n, k, n * (n + 1) // (2 * k))).sets]
+    # the odd case starts at the bookkeeping cell 0
+    return sets, meander_fill([-1] * (n + 1), list(range(k)), 1 - n % 2, n)
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 30, 60, 120, 252, 400])
 def test_even_builder_matches_stream(n):
     for k in even_case_ks(n):
-        fast_sets, fast_count = build_even(n, k)
+        sets, count = _solved(n, k, meander_even)
         stream_sets, stream_count = _sets_from_stream(even_assignments(n, k), k, False)
-        assert [sorted(s) for s in fast_sets] == stream_sets
-        assert fast_sets == [sorted(s) for s in fast_sets]  # already ascending
-        assert fast_count == stream_count == n
+        assert sets == stream_sets  # already ascending
+        assert count == stream_count == n
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 29, 59, 119, 251, 399])
 def test_odd_builder_matches_stream(n):
     for k in odd_case_ks(n):
-        fast_sets, fast_count = build_odd(n, k)
+        sets, count = _solved(n, k, meander_odd)
         stream_sets, stream_count = _sets_from_stream(odd_assignments(n, k), k, True)
-        assert [sorted(s) for s in fast_sets] == stream_sets
-        assert fast_count == stream_count == n + 1
+        assert sets == stream_sets
+        assert count == stream_count == n + 1
 
 
 # --- formula and range invariants ----------------------------------------
@@ -145,7 +176,7 @@ def _sample_ns(parity, limit=5000):
 def test_even_case_covers_and_sums():
     for n in _sample_ns(0):
         for k in even_case_ks(n):
-            sets, count = build_even(n, k)
+            sets, count = _solved(n, k, meander_even)
             assert count == n
             values = sorted(x for s in sets for x in s)
             assert values == list(range(1, n + 1))
@@ -156,7 +187,7 @@ def test_even_case_covers_and_sums():
 def test_odd_case_covers_and_sums():
     for n in _sample_ns(1):
         for k in odd_case_ks(n):
-            sets, count = build_odd(n, k)
+            sets, count = _solved(n, k, meander_odd)
             assert count == n + 1
             values = sorted(x for s in sets for x in s)
             assert values == list(range(1, n + 1))  # 0 already dropped

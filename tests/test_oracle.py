@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from equipart.core import enumerate_instances, validate_instance, verify_partition
-from equipart.oracle import CapExceededError, brute_force_partition, exists_partition
+from equipart.oracle import CapExceededError, brute_force_partition
 
 
 def test_brute_force_small_instances_verify():
@@ -22,8 +22,8 @@ def test_brute_force_unique_partition_is_found_exactly():
 
 
 def test_exists_partition_on_valid_instances():
-    assert exists_partition(validate_instance(4, 2, 5))
-    assert exists_partition(validate_instance(9, 3, 15))
+    assert brute_force_partition(validate_instance(4, 2, 5)) is not None
+    assert brute_force_partition(validate_instance(9, 3, 15)) is not None
 
 
 def test_cap_is_enforced_and_overridable():
