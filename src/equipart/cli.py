@@ -24,7 +24,7 @@ from .core import (
 )
 from .oracle import DEFAULT_CAP, brute_force_partition
 from .scan import run_scan, write_csv
-from .solver import solve
+from .solver import plan, solve
 from .trace import render_trace
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     instance = validate_instance(args.n, args.k, _derive_t(args.n, args.k, args.t))
-    _, trace = solve(instance)
+    _, trace = plan(instance)  # the trace needs no sets
     print(render_trace(trace))
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Iterative solver: classify, place the top elements, descend to a child.
+"""Iterative solver: plan the descent top-down, compose the sets bottom-up.
 
 Every valid instance falls into exactly one case, checked in this order:
 
@@ -15,16 +15,13 @@ Every valid instance falls into exactly one case, checked in this order:
                 same way and the recursion on (t-n-1, k-(2n-t+1)/2, t)
                 fills each remaining set in one piece.
 
-The partition under construction is one label array: ``owner[x]`` is the
-final set of element ``x``. A ``slot`` list maps the sets of the current
-level to final sets. Every case writes the elements it places, which form
-one contiguous range at the top of the current level, as a single slice
-assignment, so each of the n elements is labelled exactly once. A maximal
-run of ``s`` steps keeps the slot map and writes the meander pattern over
-its whole range at once: the run cannot end in the meander case, because
-n - 2k = n (mod 2k). Every child instance is re-checked against the input
-contract before the descent continues, and reading ``owner`` in ascending
-order yields every set already sorted.
+``plan`` descends to the meander base in integer arithmetic only, gating
+every child against the input contract; a maximal run of ``s`` steps is
+one level, as it cannot end in the meander case (n - 2k = n mod 2k).
+``solve_detailed`` then builds the sets as tuples from the base up, each
+level taking its child's sets in the child's own order. A level places one
+contiguous range above all of its child's elements, so appending keeps
+every set ascending; it must return k sets that gained exactly those n - n'.
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -32,25 +29,25 @@ descending-anchored line I and an ascending line II:
   even case, block i = 1 .. n/2k:       (I) 2ki - (j-1)    (II) 2k(i-1) + j
   odd case,  block i = 1 .. (n+1)/2k:   (I) 2ki - j        (II) 2k(i-1) + (j-1)
 
-So each block of 2k consecutive values is labelled ``slot + slot[::-1]``.
-The odd case starts at 0 instead of 1: it also labels the bookkeeping cell
-``owner[0]``, which is not an element and is never read back.
+So column j takes the j-th value of every block of 2k and the j-th from its
+end; an s-run appends the columns over its range to the child's sets. The
+odd case starts at 0, which opens the first column and is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+from typing import Iterable
 
 from .core import InvariantError, Partition, PreconditionError, ProblemInstance
 from .trace import Trace, TraceSymbol
 
-# A reduction step: (owner, slot, n, k, t, per_step) -> (steps taken, child
-# n, child k, child t, child slot map, labels written). It appends the
-# instance of every step it takes to per_step unless that is None.
+# One level of a plan: (case, n, k, t, child n). An s level is a whole run
+# from its top n down to the child n; the meander base has child n 0.
+Level = tuple[TraceSymbol, int, int, int, int]
+Sets = list[tuple[int, ...]]
 StepLog = list[ProblemInstance] | None
-StepResult = tuple[int, int, int, int, list[int], int]
-
-_UNLABELLED = -1
 
 
 @dataclass(frozen=True)
@@ -84,23 +81,9 @@ def _check_child(parent: tuple[int, int, int], n: int, k: int, t: int) -> None:
         raise InvariantError(f"child sum mismatch: ({n}, {k}, {t}) from parent {parent}")
 
 
-def meander_fill(owner: list[int], slot: list[int], low: int, high: int) -> int:
-    """Label ``owner[low..high]`` with the meander pattern; returns the count.
-
-    The range must be a whole number of blocks of 2k values, k being the
-    length of ``slot``; low = 1 is the even case, low = 0 the odd one.
-    """
-    block = slot + slot[::-1]
-    blocks = (high - low + 1) // len(block)
-    owner[low : high + 1] = block * blocks
-    return blocks * len(block)
-
-
-def smaller_run(
-    owner: list[int], slot: list[int], n: int, k: int, t: int, per_step: StepLog
-) -> StepResult:
-    """Case t >= 2n, all steps of a maximal run: each gives every set one pair."""
-    top, steps = n, 0
+def smaller_run(n: int, k: int, t: int, per_step: StepLog) -> tuple[int, int, int, int]:
+    """Case t >= 2n, a maximal run: (steps, child n, k, t); logs every step."""
+    steps = 0
     while True:
         if per_step is not None:
             per_step.append(ProblemInstance(n, k, t))
@@ -112,88 +95,105 @@ def smaller_run(
             _check_child((n, k, t), child_n, k, child_t)
         n, t = child_n, child_t
         if t < 2 * n:  # the meander test cannot fire inside the run
-            break
-    return steps, n, k, t, slot, meander_fill(owner, slot, n + 1, top)
+            return steps, n, k, t
 
 
-def greater_even(
-    owner: list[int], slot: list[int], n: int, k: int, t: int, per_step: StepLog
-) -> StepResult:
-    """Case t < 2n, t even: finish (2n-t)/2 sets, pin t/2, split the rest."""
+def plan(instance: ProblemInstance, *, record_steps: bool = False) -> tuple[list[Level], Trace]:
+    """The levels from the instance down to its meander base, and the trace."""
+    n, k, t = instance.n, instance.k, instance.t
+    levels: list[Level] = []
+    symbols: list[TraceSymbol] = []
+    per_step: StepLog = [] if record_steps else None
+    while (case := _case(n, k, t)) is not TraceSymbol.MEANDER:
+        if case is TraceSymbol.SMALLER:
+            steps, child_n, child_k, child_t = smaller_run(n, k, t, per_step)
+        elif case is TraceSymbol.GREATER_EVEN:
+            steps, child_n, child_k, child_t = 1, t - n - 1, 2 * (k - n) + t - 1, t // 2
+        else:
+            steps, child_n, child_k, child_t = 1, t - n - 1, k - (2 * n - t + 1) // 2, t
+        if case is not TraceSymbol.SMALLER and per_step is not None:
+            per_step.append(ProblemInstance(n, k, t))
+        _check_child((n, k, t), child_n, child_k, child_t)
+        levels.append((case, n, k, t, child_n))
+        symbols += [case] * steps
+        n, k, t = child_n, child_k, child_t
     if per_step is not None:
         per_step.append(ProblemInstance(n, k, t))
-    filled = (2 * n - t) // 2
-    done, pivot, rest = slot[:filled], slot[filled], slot[filled + 1 :]
-    owner[t - n : n + 1] = done + [pivot] + done[::-1]
-    # the pivot's set takes one child set, every later set two
-    child_slot = [pivot] * (2 * len(rest) + 1)
-    child_slot[1::2] = child_slot[2::2] = rest
-    return 1, t - n - 1, 2 * (k - n) + t - 1, t // 2, child_slot, 2 * filled + 1
+    symbols.append(TraceSymbol.MEANDER)
+    levels.append((TraceSymbol.MEANDER, n, k, t, 0))
+    return levels, Trace(tuple(symbols), tuple(per_step) if per_step is not None else None)
 
 
-def greater_odd(
-    owner: list[int], slot: list[int], n: int, k: int, t: int, per_step: StepLog
-) -> StepResult:
-    """Case t < 2n, t odd: finish (2n-t+1)/2 sets, child fills whole sets."""
-    if per_step is not None:
-        per_step.append(ProblemInstance(n, k, t))
-    filled = (2 * n - t + 1) // 2
-    done = slot[:filled]
-    owner[t - n : n + 1] = done + done[::-1]
-    return 1, t - n - 1, k - filled, t, slot[filled:], 2 * filled
+def meander_columns(low: int, high: int, k: int) -> Iterable[tuple[int, ...]]:
+    """The k sets of the meander pattern over low..high, each ascending.
 
-
-def sets_from_labels(owner: list[int], k: int) -> list[list[int]]:
-    """Group the elements 1..len(owner)-1 into k sets by their label.
-
-    ``owner[x]`` is the 0-based set of element x; index 0 is not read. The
-    elements are visited in ascending order, so every set comes out sorted.
+    The range must be a whole number of blocks of 2k values; low = 1 is the
+    even case, low = 0 the odd one.
     """
-    sets: list[list[int]] = [[] for _ in range(k)]
-    for x in range(1, len(owner)):
-        sets[owner[x]].append(x)
-    return sets
+    two_k = 2 * k
+    blocks = (high - low + 1) // two_k
+    if k < blocks:
+        # few long columns: lines II and I are two strided slices each
+        column = [0] * (2 * blocks)
+        columns = []
+        for j in range(k):
+            column[0::2] = range(low + j, high + 1, two_k)
+            column[1::2] = range(low + two_k - 1 - j, high + 1, two_k)
+            columns.append(tuple(column))
+        return columns
+    # many short columns: zip the halves of every block, the second reversed
+    halves = []
+    for start in range(low, high + 1, two_k):
+        halves += (range(start, start + k), range(start + two_k - 1, start + k - 1, -1))
+    return zip(*halves)
+
+
+def _pairs(n: int, t: int, filled: int) -> Sets:
+    """The finished sets {t-n+(j-1), n-(j-1)}, j = 1..filled, each of sum t."""
+    return list(zip(range(t - n, t - n + filled), range(n, n - filled, -1)))
+
+
+def greater_even(sets: Sets, n: int, t: int) -> Sets:
+    """Case t < 2n, t even: (2n-t)/2 pairs, child set 1 with t/2, then the rest in twos."""
+    head = _pairs(n, t, (2 * n - t) // 2)
+    head.append(sets[0] + (t // 2,))
+    return head + list(map(tuple, map(sorted, map(add, sets[1::2], sets[2::2]))))
+
+
+def greater_odd(sets: Sets, n: int, t: int) -> Sets:
+    """Case t < 2n, t odd: (2n-t+1)/2 pairs, then the child's sets."""
+    return _pairs(n, t, (2 * n - t + 1) // 2) + sets
+
+
+def compose(level: Level, sets: Sets) -> Sets:
+    """The sets of one level, built from the sets of its child (none for the base)."""
+    case, n, k, t, child_n = level
+    if case is TraceSymbol.MEANDER:
+        sets = list(meander_columns(1 - n % 2, n, k))
+        if n % 2:
+            sets[0] = sets[0][1:]  # the bookkeeping 0
+        return sets
+    if case is TraceSymbol.SMALLER:
+        return list(map(add, sets, meander_columns(child_n + 1, n, k)))
+    if case is TraceSymbol.GREATER_EVEN:
+        return greater_even(sets, n, t)
+    return greater_odd(sets, n, t)
 
 
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:
     """Solve an instance and report the trace and total element placements."""
-    n, k, t = instance.n, instance.k, instance.t
-    owner = [_UNLABELLED] * (n + 1)
-    owner[0] = 0  # not an element; only the odd base (2k | n+1) writes it
-    slot = list(range(k))
-    symbols: list[TraceSymbol] = []
-    per_step: StepLog = [] if record_steps else None
+    levels, trace = plan(instance, record_steps=record_steps)
+    sets: Sets = []
     insertions = 0
-    while (label := _case(n, k, t)) is not TraceSymbol.MEANDER:
-        if label is TraceSymbol.SMALLER:
-            step = smaller_run
-        elif label is TraceSymbol.GREATER_EVEN:
-            step = greater_even
-        else:
-            step = greater_odd
-        steps, child_n, child_k, child_t, slot, written = step(owner, slot, n, k, t, per_step)
-        _check_child((n, k, t), child_n, child_k, child_t)
-        if len(slot) != child_k:
-            raise InvariantError(f"slot map covers {len(slot)} child sets, expected {child_k}")
-        symbols += [label] * steps
-        insertions += written
-        n, k, t = child_n, child_k, child_t
-
-    if per_step is not None:
-        per_step.append(ProblemInstance(n, k, t))
-    symbols.append(TraceSymbol.MEANDER)
-    # the odd base also labels index 0, the bookkeeping zero
-    low = 1 - n % 2
-    insertions += meander_fill(owner, slot, low, n) - (1 - low)
-
-    if len(owner) != instance.n + 1:
-        raise InvariantError(f"label array has {len(owner)} cells, expected {instance.n + 1}")
-    if _UNLABELLED in owner:
-        raise InvariantError(f"element {owner.index(_UNLABELLED)} left unlabelled")
-    sets = sets_from_labels(owner, instance.k)
-    partition = Partition(instance, tuple(map(tuple, sets)))
-    trace = Trace(tuple(symbols), tuple(per_step) if per_step is not None else None)
-    return SolveResult(partition, trace, insertions)
+    for level in reversed(levels):
+        _, n, k, t, child_n = level
+        sets = compose(level, sets)
+        placed = sum(map(len, sets)) - insertions
+        if len(sets) != k or placed != n - child_n:
+            got, want = (len(sets), placed), (k, n - child_n)
+            raise InvariantError(f"level ({n}, {k}, {t}) made (sets, elements) {got}, expected {want}")
+        insertions += placed
+    return SolveResult(Partition(instance, tuple(sets)), trace, insertions)
 
 
 def solve(instance: ProblemInstance, *, record_steps: bool = False) -> tuple[Partition, Trace]:
@@ -211,7 +211,7 @@ def meander_even(instance: ProblemInstance) -> Partition:
 
 
 def meander_odd(instance: ProblemInstance) -> Partition:
-    """Solve an instance with n odd and 2k | n + 1 in n + 1 insertions."""
+    """Solve an instance with n odd and 2k | n + 1 in exactly n insertions."""
     if (instance.n + 1) % (2 * instance.k) != 0:
         raise PreconditionError(f"odd meander needs 2k | n+1, got n={instance.n}, k={instance.k}")
     return solve_detailed(instance).partition

@@ -152,11 +152,12 @@ def test_criterion_06_linear_meander_work():
     problems = []
     checked = 0
     for n in range(1, 5001):
-        odd = n % 2  # the odd case also labels the bookkeeping cell 0
+        odd = n % 2  # the odd case's columns also hold the bookkeeping 0
         for k in _divisors((n + odd) // 2):  # 2k | n, or 2k | n + 1
-            count = solver.meander_fill([-1] * (n + 1), list(range(k)), 1 - odd, n)
-            if count != n + odd:
-                problems.append(f"n={n} k={k}: meander_fill wrote {count} labels")
+            columns = list(solver.meander_columns(1 - odd, n, k))
+            count = sum(map(len, columns))
+            if len(columns) != k or count != n + odd:
+                problems.append(f"n={n} k={k}: meander_columns made {len(columns)} columns of {count} values")
             insertions = solve_detailed(validate_instance(n, k, triangular(n) // k)).insertions
             if insertions != n:
                 problems.append(f"n={n} k={k}: solve reports {insertions} insertions")
@@ -212,15 +213,15 @@ def test_scan_csv_bytes_are_pinned(exhaustive_scan):
     assert hashlib.sha256(data).hexdigest() == SCAN_CSV_SHA256
 
 
-def _meander_fill_line_one_off(owner, slot, low, high):
+def _meander_columns_line_one_off(low, high, k):
     # line I one element too low: 2ki - j instead of 2ki - (j-1) in the even
-    # case, so the last element of every block keeps no label
-    two_k = 2 * len(slot)
-    for start in range(low, high + 1, two_k):
-        for j, label in enumerate(slot):
-            owner[start + j] = label  # line II
-            owner[start + two_k - 2 - j] = label  # line I
-    return high - low + 1
+    # case, so no set gets the last value of a block and the last set gets
+    # its middle value twice
+    two_k = 2 * k
+    return [
+        tuple(sorted([*range(low + j, high + 1, two_k), *range(low + two_k - 2 - j, high + 1, two_k)]))
+        for j in range(k)
+    ]
 
 
 def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
@@ -234,19 +235,20 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
     real_greater_even = solver.greater_even
 
     def smaller_wrong_child_target(*args):
-        steps, child_n, child_k, child_t, child_slot, written = real_smaller(*args)
-        return steps, child_n, child_k, child_t + 1, child_slot, written
+        steps, child_n, child_k, child_t = real_smaller(*args)
+        return steps, child_n, child_k, child_t + 1
 
-    def greater_even_swapped_halves(*args):
-        steps, child_n, child_k, child_t, child_slot, written = real_greater_even(*args)
-        if len(child_slot) >= 3:
-            child_slot = child_slot[:1] + child_slot[:-1]
-        return steps, child_n, child_k, child_t, child_slot, written
+    def greater_even_pairing_shifted(sets, n, t):
+        # the pivot's set and the next one both take child set 0; the last
+        # child set is left out
+        if len(sets) >= 3:
+            sets = sets[:1] + sets[:-1]
+        return real_greater_even(sets, n, t)
 
     mutations = [
-        ("meander fill label-I off by one", "meander_fill", _meander_fill_line_one_off),
+        ("meander line I off by one", "meander_columns", _meander_columns_line_one_off),
         ("s-run wrong child t'", "smaller_run", smaller_wrong_child_target),
-        ("case-III child slot map shifted", "greater_even", greater_even_swapped_halves),
+        ("case-III child pairing shifted", "greater_even", greater_even_pairing_shifted),
     ]
     for title, attribute, mutant in mutations:
         with monkeypatch.context() as patch:

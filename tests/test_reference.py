@@ -1,16 +1,18 @@
-"""Differential check: the label-array solver against the frozen reference.
+"""Differential check: the solver against the frozen reference.
 
 ``reference_solver`` is the earlier pair-list solver, kept unchanged. Both
 must give the same sets, trace symbols, per-step instances and insertion
 counts on every instance tried.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_solver
 from equipart.core import enumerate_instances, validate_instance
-from equipart.solver import solve_detailed
+from equipart.solver import plan, solve_detailed
+from equipart.trace import TraceSymbol
 
 
 def assert_same_as_reference(n, k, t):
@@ -40,4 +42,35 @@ instances = st.integers(min_value=1, max_value=20000).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(instances)
 def test_same_as_reference_on_sampled_instances(triple):
+    assert_same_as_reference(*triple)
+
+
+# meander_columns builds k < blocks columns from strided slices and the
+# others with zip. Each instance below has a level whose range holds
+# blocks = k - 1, k or k + 1 blocks of 2k values, starting at an even or an
+# odd value: the meander base with n odd (low 0) or even (low 1), and the
+# first s-run. Entries: (n, k, t), that level's case, blocks - k, low % 2.
+BRANCH_POINT = [
+    ((11703, 77, 889428), "m", -1, 0),
+    ((11704, 77, 889580), "m", -1, 1),
+    ((11857, 77, 912989), "m", 0, 0),
+    ((11858, 77, 913143), "m", 0, 1),
+    ((11703, 76, 901131), "m", 1, 0),
+    ((11704, 76, 901285), "m", 1, 1),
+    ((11879, 77, 916380), "s", -1, 0),  # s^76 ge m
+    ((11934, 77, 924885), "s", -1, 1),  # s^76 go m
+    ((11799, 76, 915975), "s", 0, 0),  # s^76 go s ge^2 m
+    ((11760, 76, 909930), "s", 0, 1),  # s^76 ge go s ge m
+    ((11951, 76, 939726), "s", 1, 0),  # s^77 go s ge^2 m
+    ((11912, 76, 933603), "s", 1, 1),  # s^77 ge go s ge m
+]
+
+
+@pytest.mark.parametrize("triple,case,excess,parity", BRANCH_POINT)
+def test_same_as_reference_on_both_sides_of_the_column_branch(triple, case, excess, parity):
+    levels, _ = plan(validate_instance(*triple))
+    first = next(level for level in levels if level[0] is TraceSymbol(case))
+    _, n, k, _, child_n = first
+    low = child_n + 1 if case == "s" else 1 - n % 2
+    assert ((n - low + 1) // (2 * k) - k, low % 2) == (excess, parity)
     assert_same_as_reference(*triple)

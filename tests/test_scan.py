@@ -63,15 +63,16 @@ def test_write_csv_exact_bytes():
 
 
 def test_scan_instance_detects_seeded_bug(monkeypatch):
-    real = solver.meander_fill
+    real = solver.meander_columns
 
-    def rotated_fill(owner, slot, low, high):
-        # every element takes the label meant for its successor
-        written = real(owner, slot, low, high)
-        owner[low : high + 1] = owner[low + 1 : high + 1] + owner[low : low + 1]
-        return written
+    def rotated_columns(low, high, k):
+        # every value goes to the set meant for its successor
+        return [
+            tuple(sorted(high if x == low else x - 1 for x in column))
+            for column in real(low, high, k)
+        ]
 
-    monkeypatch.setattr(solver, "meander_fill", rotated_fill)
+    monkeypatch.setattr(solver, "meander_columns", rotated_columns)
     record, violations = scan_instance(8, 2, 18)
     assert record is not None and not record.verified
     assert any(v.kind == "verify" for v in violations)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from equipart import solver
@@ -11,8 +13,8 @@ from equipart.core import (
 from equipart.scan import scan_instance
 from equipart.solver import (
     classify_case,
-    greater_even,
-    greater_odd,
+    compose,
+    plan,
     smaller_run,
     solve,
     solve_detailed,
@@ -24,24 +26,32 @@ def inst(n, k, t):
     return validate_instance(n, k, t)
 
 
-def step_on(step, n, k, t, slot=None):
-    """Run one step function on a fresh label array.
+def first_level(n, k, t):
+    """The first level of the plan of (n, k, t) and what its composition places.
 
-    Returns the labels of the placed elements as {element: set}, the
-    step's result tuple and the instances it recorded.
+    The level is composed over marker child sets, child set i being
+    (-(i + 1),), so its sets hold only its own elements and the markers.
+    Returns the placed elements as {element: set}, the child sets each set
+    took as {set: [child sets]}, the level, its child instance and the
+    instances of its steps.
     """
-    owner = [-1] * (n + 1)
-    per_step = []
-    result = step(owner, list(range(k)) if slot is None else slot, n, k, t, per_step)
-    placed = {x: label for x, label in enumerate(owner) if label != -1}
-    return placed, result, per_step
+    levels, trace = plan(inst(n, k, t), record_steps=True)
+    level, child = levels[0], levels[1]
+    sets = compose(level, [(-(i + 1),) for i in range(child[2])])
+    assert len(sets) == k
+    elements = [x for members in sets for x in members if x > 0]
+    placed = {x: j for j, members in enumerate(sets) for x in members if x > 0}
+    assert len(placed) == len(elements)  # no element placed twice
+    took = {j: sorted(-x - 1 for x in members if x < 0) for j, members in enumerate(sets)}
+    steps = [step.n for step in trace.per_step].index(child[1])
+    return placed, took, level, ProblemInstance(*child[1:4]), list(trace.per_step[:steps])
 
 
-def by_label(placed):
-    """Elements grouped by label, each group ascending."""
+def by_set(placed):
+    """Elements grouped by set, each group ascending."""
     groups = {}
-    for x, label in sorted(placed.items()):
-        groups.setdefault(label, []).append(x)
+    for x, j in sorted(placed.items()):
+        groups.setdefault(j, []).append(x)
     return groups
 
 
@@ -65,29 +75,31 @@ def test_classify_case(triple, expected):
     assert classify_case(inst(*triple)) is expected
 
 
-# --- step functions -------------------------------------------------------
+# --- levels: the plan's steps and what each composition places -------------
 
 
 def test_reduce_smaller_golden():
-    placed, result, per_step = step_on(smaller_run, 25, 5, 65)
+    placed, took, level, child, per_step = first_level(25, 5, 65)
     # one step: the pair {n-2k+j, n-(j-1)} into every set j
-    assert by_label(placed) == {0: [16, 25], 1: [17, 24], 2: [18, 23], 3: [19, 22], 4: [20, 21]}
-    assert all(a + b == 2 * (25 - 5) + 1 for a, b in by_label(placed).values())
-    steps, child_n, child_k, child_t, child_slot, written = result
-    assert (steps, child_n, child_k, child_t) == (1, 15, 5, 24)
-    assert child_slot == [0, 1, 2, 3, 4]  # every set continues in the child
-    assert written == 10
+    assert by_set(placed) == {0: [16, 25], 1: [17, 24], 2: [18, 23], 3: [19, 22], 4: [20, 21]}
+    assert all(a + b == 2 * (25 - 5) + 1 for a, b in by_set(placed).values())
+    assert level == (TraceSymbol.SMALLER, 25, 5, 65, 15)
+    assert child == ProblemInstance(15, 5, 24)
+    assert took == {j: [j] for j in range(5)}  # every set continues in the child
+    assert len(placed) == 10
     assert per_step == [ProblemInstance(25, 5, 65)]
 
 
 def test_reduce_smaller_deep_chain_head():
-    placed, result, per_step = step_on(smaller_run, 1337, 7, 127779)
-    steps, child_n, child_k, child_t, child_slot, written = result
+    per_step = []
+    steps, child_n, child_k, child_t = smaller_run(1337, 7, 127779, per_step)
     # the whole run s^94 is one call; its first child is (1323, 7, 125118)
     assert steps == len(per_step) == 94
     assert per_step[1] == ProblemInstance(1323, 7, 125118)
     assert (child_n, child_k, child_t) == (1337 - 94 * 14, 7, 33)
-    assert sorted(placed) == list(range(child_n + 1, 1338)) and written == 94 * 14
+    placed, _, _, child, level_steps = first_level(1337, 7, 127779)
+    assert child == ProblemInstance(child_n, child_k, child_t) and level_steps == per_step
+    assert sorted(placed) == list(range(child_n + 1, 1338)) and len(placed) == 94 * 14
     # step i of the run pairs {n_i-2k+j, n_i-(j-1)}, summing to 2(n_i-k)+1
     for i, step in enumerate(per_step):
         for j in range(1, 8):
@@ -97,37 +109,50 @@ def test_reduce_smaller_deep_chain_head():
 
 
 def test_reduce_greater_even_golden():
-    placed, result, _ = step_on(greater_even, 15, 6, 20)
-    groups = by_label(placed)
+    placed, took, level, child, per_step = first_level(15, 6, 20)
+    groups = by_set(placed)
     assert groups == {0: [5, 15], 1: [6, 14], 2: [7, 13], 3: [8, 12], 4: [9, 11], 5: [10]}
     assert all(sum(groups[j]) == 20 for j in range(5))
     assert placed[10] == 5  # the pivot t/2 opens the next set
-    assert result == (1, 4, 1, 10, [5], 11)
+    assert (level, child, len(per_step)) == (
+        (TraceSymbol.GREATER_EVEN, 15, 6, 20, 4),
+        ProblemInstance(4, 1, 10),
+        1,
+    )
+    assert took == {0: [], 1: [], 2: [], 3: [], 4: [], 5: [0]}
+    assert len(placed) == 11
 
 
 def test_reduce_greater_even_split_sets():
-    placed, result, _ = step_on(greater_even, 15, 5, 24)
-    assert by_label(placed) == {0: [9, 15], 1: [10, 14], 2: [11, 13], 3: [12]}
-    assert result[1:4] == (8, 3, 12)
+    placed, took, _, child, _ = first_level(15, 5, 24)
+    assert by_set(placed) == {0: [9, 15], 1: [10, 14], 2: [11, 13], 3: [12]}
+    assert child == ProblemInstance(8, 3, 12)
     # pivot companion first, then both halves of each following set
-    assert result[4] == [3, 4, 4]
+    assert took == {0: [], 1: [], 2: [], 3: [0], 4: [1, 2]}
 
-    placed, result, _ = step_on(greater_even, 8, 3, 12)
-    assert by_label(placed) == {0: [4, 8], 1: [5, 7], 2: [6]}
-    assert result[1:5] == (3, 1, 6, [2])
+    placed, took, _, child, _ = first_level(8, 3, 12)
+    assert by_set(placed) == {0: [4, 8], 1: [5, 7], 2: [6]}
+    assert child == ProblemInstance(3, 1, 6)
+    assert took == {0: [], 1: [], 2: [0]}
 
 
 def test_reduce_greater_odd_golden():
-    placed, result, _ = step_on(greater_odd, 9, 3, 15)
-    assert by_label(placed) == {0: [6, 9], 1: [7, 8]}
-    assert result == (1, 5, 1, 15, [2], 4)
+    placed, took, level, child, per_step = first_level(9, 3, 15)
+    assert by_set(placed) == {0: [6, 9], 1: [7, 8]}
+    assert (level, child, len(per_step)) == (
+        (TraceSymbol.GREATER_ODD, 9, 3, 15, 5),
+        ProblemInstance(5, 1, 15),
+        1,
+    )
+    assert took == {0: [], 1: [], 2: [0]}
+    assert len(placed) == 4
 
 
 def test_reduce_greater_odd_large_instance():
-    _, result, _ = step_on(greater_odd, 1337, 573, 1561)
-    assert result[1:4] == (223, 16, 1561)
+    _, _, _, child, _ = first_level(1337, 573, 1561)
+    assert child == ProblemInstance(223, 16, 1561)
     # the child is itself a direct meander instance: 32 | 224
-    assert classify_case(inst(*result[1:4])) is TraceSymbol.MEANDER
+    assert classify_case(child) is TraceSymbol.MEANDER
 
 
 def _refusing(name):
@@ -146,68 +171,80 @@ def test_meander_case_reaches_no_step(monkeypatch, step):
 
 
 def test_reducers_reject_each_others_cases(monkeypatch):
-    # each step function is handed exactly the instances opening a run of
-    # its own case, in trace order
+    # smaller_run is handed exactly the instances opening an s-run, top-down
+    # while planning; greater_even and greater_odd compose exactly the ge and
+    # go levels, bottom-up after the plan, over the sets of their child
     own_case = {
         "smaller_run": TraceSymbol.SMALLER,
         "greater_even": TraceSymbol.GREATER_EVEN,
         "greater_odd": TraceSymbol.GREATER_ODD,
     }
     calls = []
-    for name in own_case:
+    real_run = solver.smaller_run
+
+    def run(n, k, t, per_step):
+        calls.append((TraceSymbol.SMALLER, n, t, k))
+        return real_run(n, k, t, per_step)
+
+    monkeypatch.setattr(solver, "smaller_run", run)
+    for name in ("greater_even", "greater_odd"):
         real = getattr(solver, name)
 
-        def recording(*args, real=real, name=name):
-            calls.append((own_case[name], ProblemInstance(*args[2:5])))
-            return real(*args)
+        def recording(sets, n, t, real=real, name=name):
+            calls.append((own_case[name], n, t, len(sets)))
+            return real(sets, n, t)
 
         monkeypatch.setattr(solver, name, recording)
     for triple in [(9, 3, 15), (15, 5, 24), (1337, 7, 127779), (9999, 4040, 12375)]:
         calls.clear()
         _, trace = solve(inst(*triple), record_steps=True)
+        steps = list(zip(trace.symbols, trace.per_step, trace.per_step[1:]))
         openings = [
-            (symbol, trace.per_step[i])
-            for i, symbol in enumerate(trace.symbols[:-1])
-            if i == 0 or symbol is not TraceSymbol.SMALLER or trace.symbols[i - 1] is not symbol
+            (symbol, step, child)
+            for i, (symbol, step, child) in enumerate(steps)
+            if i == 0 or symbol is not TraceSymbol.SMALLER or steps[i - 1][0] is not symbol
         ]
-        assert calls == openings, triple
-        assert all(classify_case(step) is case for case, step in calls)
+        runs = [(case, s.n, s.t, s.k) for case, s, _ in openings if case is TraceSymbol.SMALLER]
+        splits = [(case, s.n, s.t, c.k) for case, s, c in openings if case is not TraceSymbol.SMALLER]
+        assert calls == runs + splits[::-1], triple
+        assert all(classify_case(step) is case for case, step, _ in openings)
 
 
 def test_reductions_conserve_elements_and_sums():
     # the placed range plus the child universe {1..n'} is {1..n}, exactly
-    steps = {
-        TraceSymbol.SMALLER: smaller_run,
-        TraceSymbol.GREATER_EVEN: greater_even,
-        TraceSymbol.GREATER_ODD: greater_odd,
-    }
     for n in range(2, 121):
         for k, t in enumerate_instances(n):
             label = classify_case(inst(n, k, t))
             if label is TraceSymbol.MEANDER:
                 continue
-            placed, result, per_step = step_on(steps[label], n, k, t)
-            count, child_n, child_k, child_t, child_slot, written = result
-            assert sorted(placed) == list(range(child_n + 1, n + 1)), (n, k, t)
-            assert written == n - child_n and count == len(per_step)
-            groups = by_label(placed)
+            placed, took, level, child, per_step = first_level(n, k, t)
+            assert level == (label, n, k, t, child.n)
+            assert sorted(placed) == list(range(child.n + 1, n + 1)), (n, k, t)
+            assert label is TraceSymbol.SMALLER or len(per_step) == 1
+            groups = by_set(placed)
             if label is TraceSymbol.SMALLER:
                 # every set gets one pair per step, the pairs of step i summing
-                # to 2(n_i-k)+1
+                # to 2(n_i-k)+1, and continues in the same child set
                 run_sum = sum(2 * (step.n - k) + 1 for step in per_step)
                 assert sorted(groups) == list(range(k))
-                assert all(len(g) == 2 * count and sum(g) == run_sum for g in groups.values())
+                assert all(len(g) == 2 * len(per_step) and sum(g) == run_sum for g in groups.values())
+                assert took == {j: [j] for j in range(k)}
             else:
                 # finished sets hold one pair of sum t; ge's pivot t/2 opens
                 # the first set that the child completes
                 filled = (2 * n - t + 1) // 2
                 assert all(len(groups[j]) == 2 and sum(groups[j]) == t for j in range(filled))
+                assert all(took[j] == [] for j in range(filled))
                 if label is TraceSymbol.GREATER_EVEN:
                     assert groups[filled] == [t // 2]
-            # children always satisfy the full input contract
-            validate_instance(child_n, child_k, child_t)
-            assert len(child_slot) == child_k
-            assert all(0 <= j < k for j in child_slot)
+                    assert took[filled] == [0]
+                    assert all(took[filled + j] == [2 * j - 1, 2 * j] for j in range(1, k - filled))
+                else:
+                    assert all(took[filled + j] == [j] for j in range(k - filled))
+            # children always satisfy the full input contract, and the level
+            # uses every child set exactly once
+            validate_instance(child.n, child.k, child.t)
+            assert sorted(i for sets in took.values() for i in sets) == list(range(child.k))
 
 
 # --- full solves ----------------------------------------------------------
@@ -272,29 +309,39 @@ def test_solve_sets_are_ascending_and_in_construction_order():
     assert 12 in partition.sets[3]
 
 
-def test_insertions_count_the_labels_written(monkeypatch):
-    # the odd base also labels the bookkeeping index 0; that is not counted
+def test_insertions_count_the_elements_placed(monkeypatch):
+    # the odd base's 0 opens its first column but is not an element
     assert solve_detailed(inst(7, 2, 14)).insertions == 7
-    real = solver.meander_fill
+    real = solver.meander_columns
 
-    def fill_twice(owner, slot, low, high):
-        return real(owner, slot, low, high) + real(owner, slot, low, high)
+    def duplicating(low, high, k):
+        columns = list(real(low, high, k))
+        columns[0] += columns[0][-1:]
+        return columns
 
-    monkeypatch.setattr(solver, "meander_fill", fill_twice)
-    result = solve_detailed(inst(15, 6, 20))  # ge m: ge places 11, m places 4
-    assert result.insertions == 11 + 2 * 4
+    monkeypatch.setattr(solver, "meander_columns", duplicating)
+    # ge m: ge places 11, the base (4, 1, 10) places its 4 and one again
+    message = "level (4, 1, 10) made (sets, elements) (1, 5), expected (1, 4)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        solve_detailed(inst(15, 6, 20))
     _, violations = scan_instance(15, 6, 20)
-    assert [v.kind for v in violations] == ["insertions"]
+    assert [v.kind for v in violations] == ["solve"]
 
 
-def test_unlabelled_element_raises(monkeypatch):
+def test_dropped_element_raises(monkeypatch):
     real = solver.greater_odd
 
-    def forgetful(owner, slot, n, k, t, per_step):
-        result = real(owner, slot, n, k, t, per_step)
-        owner[n] = -1
-        return result
+    def forgetful(sets, n, t):
+        composed = real(sets, n, t)
+        composed[0] = composed[0][:1]  # the pair (t-n, n) loses n
+        return composed
 
     monkeypatch.setattr(solver, "greater_odd", forgetful)
-    with pytest.raises(InvariantError, match="element 9 left unlabelled"):
+    message = "level (9, 3, 15) made (sets, elements) (3, 3), expected (3, 4)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        solve(inst(9, 3, 15))
+
+    monkeypatch.setattr(solver, "greater_odd", lambda sets, n, t: real(sets, n, t)[1:])
+    message = "level (9, 3, 15) made (sets, elements) (2, 2), expected (3, 4)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
         solve(inst(9, 3, 15))
