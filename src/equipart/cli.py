@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .core import (
     InvariantError,
     Partition,
+    ProblemInstance,
     SumMismatchError,
     WrongArityError,
     triangular,
@@ -71,17 +72,20 @@ def _write_json(out: TextIO, partition: Partition, trace_text: str) -> None:
     out.write("]}\n")
 
 
-def _derive_t(n: int, k: int, t: int | None) -> int:
-    if t is not None:
-        return t
-    delta = triangular(n)
-    if k < 1 or delta % k != 0:
-        raise SumMismatchError(f"1+...+{n} = {delta} is not divisible by k={k}")
-    return delta // k
+def _instance(args: argparse.Namespace) -> ProblemInstance:
+    """The instance named by --n, --k and --t; t defaults to n(n+1)/2k."""
+    n, k, t = args.n, args.k, args.t
+    if t is None and k > 0:
+        delta = triangular(n)
+        if delta % k != 0:
+            raise SumMismatchError(f"1+...+{n} = {delta} is not divisible by k={k}")
+        t = delta // k
+    # with k <= 0 there is no t to derive; the positivity check reports k
+    return validate_instance(n, k, 0 if t is None else t)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = validate_instance(args.n, args.k, _derive_t(args.n, args.k, args.t))
+    instance = _instance(args)
     partition, trace = solve(instance)
     text = render_trace(trace)
     if args.format == "json":
@@ -92,7 +96,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    instance = validate_instance(args.n, args.k, _derive_t(args.n, args.k, args.t))
+    instance = _instance(args)
     _, trace = plan(instance)  # the trace needs no sets
     print(render_trace(trace))
     return EXIT_OK
@@ -105,7 +109,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance = validate_instance(args.n, args.k, _derive_t(args.n, args.k, args.t))
+    instance = _instance(args)
     partition = brute_force_partition(instance, cap=args.cap)
     if partition is None:
         print("internal invariant violation: no partition found", file=sys.stderr)
@@ -114,36 +118,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _as_int(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected integer, got {value!r}")
-    return value
-
-
-def _load_partition_file(path: str) -> tuple[int, int, int, list[list[int]]]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise TypeError("top-level JSON value must be an object")
-    n = _as_int(payload["n"])
-    k = _as_int(payload["k"])
-    t = _as_int(payload["t"])
-    raw_sets = payload["sets"]
-    if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
-        raise TypeError('"sets" must be a list of lists')
-    return n, k, t, raw_sets
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        n, k, t, sets = _load_partition_file(args.path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"malformed partition file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    instance = validate_instance(n, k, t)
-    try:
-        report = verify_partition(instance, sets)
-    except TypeError as exc:  # an element that is not an integer
+        with open(args.path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise TypeError("top-level JSON value must be an object")
+        n, k, t, sets = payload["n"], payload["k"], payload["t"], payload["sets"]
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise TypeError('"sets" must be a list of lists')
+        instance = validate_instance(n, k, t)  # TypeError on a non-int n, k or t
+        report = verify_partition(instance, sets)  # TypeError on a non-int element
+    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         print(f"malformed partition file: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except WrongArityError as exc:
@@ -184,11 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Partition {1..n} into k disjoint subsets of equal sum.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance_p = argparse.ArgumentParser(add_help=False)  # --n/--k/--t of solve, trace, oracle
+    instance_p.add_argument("--n", type=int, required=True, help="size of the ground set")
+    instance_p.add_argument("--k", type=int, required=True, help="number of subsets")
+    instance_p.add_argument("--t", type=int, default=None, help="subset sum (default: n(n+1)/2k)")
 
-    solve_p = sub.add_parser("solve", help="construct a partition and its trace")
-    solve_p.add_argument("--n", type=int, required=True, help="size of the ground set")
-    solve_p.add_argument("--k", type=int, required=True, help="number of subsets")
-    solve_p.add_argument("--t", type=int, default=None, help="subset sum (default: n(n+1)/2k)")
+    solve_p = sub.add_parser("solve", parents=[instance_p], help="construct a partition and its trace")
     solve_p.add_argument("--format", choices=("text", "json"), default="text")
     solve_p.set_defaults(handler=_cmd_solve)
 
@@ -200,16 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
     enum_p.add_argument("--n", type=int, required=True)
     enum_p.set_defaults(handler=_cmd_enumerate)
 
-    trace_p = sub.add_parser("trace", help="print only the compact trace")
-    trace_p.add_argument("--n", type=int, required=True)
-    trace_p.add_argument("--k", type=int, required=True)
-    trace_p.add_argument("--t", type=int, default=None)
+    trace_p = sub.add_parser("trace", parents=[instance_p], help="print only the compact trace")
     trace_p.set_defaults(handler=_cmd_trace)
 
-    oracle_p = sub.add_parser("oracle", help="brute-force a small instance")
-    oracle_p.add_argument("--n", type=int, required=True)
-    oracle_p.add_argument("--k", type=int, required=True)
-    oracle_p.add_argument("--t", type=int, default=None)
+    oracle_p = sub.add_parser("oracle", parents=[instance_p], help="brute-force a small instance")
     oracle_p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest allowed n")
     oracle_p.set_defaults(handler=_cmd_oracle)
 

@@ -102,9 +102,13 @@ def triangular(n: int) -> int:
 def validate_instance(n: int, k: int, t: int) -> ProblemInstance:
     """Check the full input contract and return the validated instance.
 
-    Raises NonPositiveError, WidthOverflowError, TargetTooSmallError or
-    SumMismatchError, in that order of precedence.
+    Raises TypeError unless n, k and t are all ``int`` (``bool`` and
+    ``float`` are rejected too), then NonPositiveError, WidthOverflowError,
+    TargetTooSmallError or SumMismatchError, in that order of precedence.
     """
+    if not (type(n) is int and type(k) is int and type(t) is int):
+        names = ", ".join(type(value).__name__ for value in (n, k, t))
+        raise TypeError(f"n, k, t must be int, got ({names})")
     if n < 1 or k < 1 or t < 1:
         raise NonPositiveError(f"all of n, k, t must be positive, got ({n}, {k}, {t})")
     if n > N_MAX:

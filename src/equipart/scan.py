@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .core import (
+    N_MAX,
     InstanceError,
     InvariantError,
+    WidthOverflowError,
     enumerate_instances,
     validate_instance,
     verify_partition,
@@ -147,6 +149,8 @@ def run_scan(n_max: int, n_min: int = 1) -> ScanResult:
     """Scan every valid instance with n_min <= n <= n_max."""
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    if n_max > N_MAX:  # up front: triangular rejects only N_MAX + 1, after every smaller n
+        raise WidthOverflowError(f"n_max={n_max} exceeds supported maximum {N_MAX}")
     records: list[ScanRecord] = []
     violations: list[ScanViolation] = []
     max_ratio = 0.0

@@ -78,7 +78,7 @@ def parse_trace(text: str) -> Trace:
         if not caret:
             symbols.append(symbol)
             continue
-        if not exponent.isdigit():
+        if not (exponent.isascii() and exponent.isdigit()):  # isdigit alone takes "²", "١"
             raise TraceSyntaxError(f"malformed run length in {token!r}")
         count = int(exponent)
         if count < 2:

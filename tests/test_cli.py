@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from equipart.cli import main
-from equipart.core import triangular, validate_instance
+from equipart.core import N_MAX, triangular, validate_instance
 from equipart.solver import solve
 from equipart.trace import render_trace
 
@@ -44,6 +44,22 @@ def test_solve_rejects_nondivisible_k(capsys):
     code, _, err = run_cli(capsys, "solve", "--n", "5", "--k", "2")
     assert code == 1
     assert "not divisible" in err
+
+
+def test_solve_with_nonpositive_k_reports_positivity(capsys):
+    # no t can be derived from k = 0, so the instance's positivity check speaks
+    code, _, err = run_cli(capsys, "solve", "--n", "5", "--k", "0")
+    assert code == 1
+    assert "error: all of n, k, t must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "trace", "oracle"])
+def test_instance_options_are_listed_in_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in ("--n N", "--k K", "--t T"))
 
 
 def test_solve_rejects_invalid_explicit_t(capsys):
@@ -164,6 +180,29 @@ def test_verify_rejects_non_integer_elements(capsys, tmp_path):
         assert "malformed partition file" in err and not out
 
 
+@pytest.mark.parametrize("header", [{"n": 4.0, "k": 1, "t": 10}, {"n": 4, "k": True, "t": 10}])
+def test_verify_rejects_non_integer_header(capsys, tmp_path, header):
+    path = _write(tmp_path, {**header, "sets": [[1, 2, 3, 4]]})
+    code, out, err = run_cli(capsys, "verify", path)
+    assert code == 1
+    assert "malformed partition file" in err and not out
+
+
+def test_verify_rejects_deep_nesting_without_traceback(tmp_path):
+    depth = 100_000  # far beyond the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 4, "k": 1, "t": 10, "sets": ' + "[" * depth + "]" * depth + "}")
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert "malformed partition file" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_rejects_invalid_instance(capsys, tmp_path):
     path = _write(tmp_path, {"n": 5, "k": 2, "t": 7, "sets": [[5, 2], [3, 4, 1]]})
     code, _, err = run_cli(capsys, "verify", path)
@@ -235,3 +274,16 @@ def test_scan_to_stdout_and_range_validation(capsys):
     code, _, err = run_cli(capsys, "scan", "--n-max", "0")
     assert code == 1
     assert "error:" in err
+
+
+def test_scan_rejects_n_max_beyond_width_contract():
+    # a subprocess with a timeout: without the up-front check the scan walks
+    # every n up to N_MAX and does not return
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "scan", "--n-max", str(N_MAX + 1)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert f"error: n_max={N_MAX + 1} exceeds supported maximum {N_MAX}" in done.stderr

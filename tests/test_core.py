@@ -82,6 +82,14 @@ def test_validate_overflow():
         validate_instance(N_MAX + 1, 1, 1)
 
 
+@pytest.mark.parametrize("triple", [(4.0, 1, 10.0), (True, 1, 1), (9, 3, 15.0), (0.0, 1, 1)])
+def test_validate_rejects_non_int(triple):
+    # 4.0 == 4 and True == 1 would otherwise pass the value checks; (0.0, 1, 1)
+    # shows the type check comes before NonPositiveError
+    with pytest.raises(TypeError, match="must be int"):
+        validate_instance(*triple)
+
+
 # --- verify_partition -----------------------------------------------------
 
 

@@ -60,6 +60,8 @@ def test_parse_trace_basic():
         "q",
         "m^",
         "go^2^2 m",
+        "s^\u00b2 m",  # superscript two: isdigit() but not int()-able
+        "s^\u0661\u0662 go m",  # Arabic-Indic 12: int() would read it as 12
     ],
 )
 def test_parse_trace_rejects_malformed(text):
