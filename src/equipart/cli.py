@@ -1,18 +1,20 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input (including an instance too large
-for the memory available), 2 verification failure, 3 internal invariant
-violation (including scan violations).
+for the memory available) or a closed stdout, 2 verification failure,
+3 internal invariant violation (including scan violations).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .core import (
+    InstanceError,
     InvariantError,
     Partition,
     ProblemInstance,
@@ -36,12 +38,17 @@ EXIT_INVARIANT = 3
 _CHUNK = 4096
 
 
-def _write_values(out: TextIO, values: Sequence[int], prefix: str) -> None:
-    # stream long rows in chunks instead of building one giant string
-    out.write(prefix)
-    for start in range(0, len(values), _CHUNK):
-        out.write(" ")
-        out.write(" ".join(map(str, values[start : start + _CHUNK])))
+def _encoded_runs(sets: Sequence[Sequence[int]]) -> Iterator[str]:
+    """``json.dumps`` of runs of whole sets, cut once a run holds _CHUNK elements."""
+    run, size = [], 0
+    for members in sets:
+        run.append(members)
+        size += len(members)
+        if size >= _CHUNK:
+            yield json.dumps(run)
+            run, size = [], 0
+    if run:
+        yield json.dumps(run)
 
 
 def _write_text(out: TextIO, partition: Partition, trace_text: str | None) -> None:
@@ -49,26 +56,22 @@ def _write_text(out: TextIO, partition: Partition, trace_text: str | None) -> No
     out.write(f"n={inst.n} k={inst.k} t={inst.t}\n")
     if trace_text is not None:
         out.write(f"trace: {trace_text}\n")
-    for index, members in enumerate(partition.sets, start=1):
-        _write_values(out, members, prefix=f"set {index}:")
-        out.write("\n")
+    index = 1
+    for encoded in _encoded_runs(partition.sets):
+        # '[[6, 9], [7, 8]]' -> ['6 9', '7 8']: every set is a non-empty tuple of int
+        rows = encoded[2:-2].replace(",", "").split("] [")
+        out.write("".join(f"set {i}: {row}\n" for i, row in enumerate(rows, start=index)))
+        index += len(rows)
 
 
 def _write_json(out: TextIO, partition: Partition, trace_text: str) -> None:
     inst = partition.instance
     header = {"n": inst.n, "k": inst.k, "t": inst.t, "trace": trace_text, "sets": []}
     out.write(json.dumps(header)[:-2])  # open, without the closing "]}"
-    # runs of whole sets, cut once a run holds _CHUNK elements, written
-    # without their outer brackets
-    separator, run, size = "", [], 0
-    for members in partition.sets:
-        run.append(members)
-        size += len(members)
-        if size >= _CHUNK:
-            out.write(separator + json.dumps(run)[1:-1])
-            separator, run, size = ", ", [], 0
-    if run:
-        out.write(separator + json.dumps(run)[1:-1])
+    runs = _encoded_runs(partition.sets)  # k >= 1 sets, so at least one run
+    out.write(next(runs)[1:-1])  # each run without its outer brackets
+    for encoded in runs:
+        out.write(", " + encoded[1:-1])
     out.write("]}\n")
 
 
@@ -129,12 +132,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise TypeError('"sets" must be a list of lists')
         instance = validate_instance(n, k, t)  # TypeError on a non-int n, k or t
         report = verify_partition(instance, sets)  # TypeError on a non-int element
-    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-        print(f"malformed partition file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except WrongArityError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except InstanceError:
+        raise  # main reports an invalid instance as "error: ..."
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer too long to convert
+        print(f"malformed partition file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if report.ok:
         print(f"ok: valid partition of 1..{n} into {k} sets of sum {t}")
         return EXIT_OK
@@ -206,7 +212,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_INVALID
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

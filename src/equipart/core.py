@@ -131,32 +131,30 @@ def _candidate_sets(candidate: Partition | Sequence[Sequence[int]]) -> Sequence[
 
 def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationReport:
     """Slow element-by-element pass, run only when the fast pass failed."""
-    seen = bytearray(n + 1)
+    seen: set[int] = set()  # sized by the file, not by its claimed n
     disjoint = covers = sums_ok = True
     first: str | None = None
-    placed = 0
     for index, members in enumerate(sets, start=1):
         for x in members:
             if x < 1 or x > n:
                 covers = False
                 if first is None:
                     first = f"set {index}: element {x} outside 1..{n}"
-            elif seen[x]:
+            elif x in seen:
                 disjoint = False
                 if first is None:
                     first = f"set {index}: element {x} assigned more than once"
             else:
-                seen[x] = 1
-                placed += 1
+                seen.add(x)
         set_sum = sum(members)
         if set_sum != t:
             sums_ok = False
             if first is None:
                 first = f"set {index}: sum {set_sum} != {t}"
-    if placed < n and covers:
+    if len(seen) < n and covers:
         covers = False
     if first is None and not covers:
-        missing = next(x for x in range(1, n + 1) if not seen[x])
+        missing = next(x for x in range(1, n + 1) if x not in seen)
         first = f"element {missing} missing"
     return VerificationReport(disjoint, covers, sums_ok, first)
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from equipart.cli import main
 from equipart.core import N_MAX, triangular, validate_instance
+from equipart.oracle import brute_force_partition
 from equipart.solver import solve
 from equipart.trace import render_trace
 
@@ -98,6 +100,59 @@ def test_solve_json_is_the_stdlib_encoding(capsys, n, k):
     code, out, _ = run_cli(capsys, "solve", "--n", str(n), "--k", str(k), "--format", "json")
     assert code == 0
     assert out == json.dumps(payload) + "\n"
+
+
+def _rows(sets):
+    return "".join(f"set {i}: {' '.join(map(str, s))}\n" for i, s in enumerate(sets, start=1))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (9, 3), (9999, 3), (10000, 2500), (1000000, 500000)])
+def test_solve_text_is_the_row_rendering(capsys, n, k):
+    # (9999, 3): rows longer than the writer's chunk; (10000, 2500) and
+    # (10^6, 500000): many runs of tiny sets, with sets on both sides of each cut
+    instance = validate_instance(n, k, triangular(n) // k)
+    partition, trace = solve(instance)
+    header = f"n={n} k={k} t={instance.t}\ntrace: {render_trace(trace)}\n"
+    code, out, _ = run_cli(capsys, "solve", "--n", str(n), "--k", str(k))
+    assert code == 0
+    assert out == header + _rows(partition.sets)
+
+
+def test_oracle_text_is_the_row_rendering(capsys):
+    partition = brute_force_partition(validate_instance(16, 4, 34))
+    code, out, _ = run_cli(capsys, "oracle", "--n", "16", "--k", "4")
+    assert code == 0
+    assert out == "n=16 k=4 t=34\n" + _rows(partition.sets)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "100000", "--k", "50000"],
+        ["solve", "--n", "100000", "--k", "50000", "--format", "json"],
+        ["solve", "--n", "9", "--k", "3"],
+        ["trace", "--n", "9999", "--k", "12"],
+        ["enumerate", "--n", "1337"],
+    ],
+    ids=["solve-text", "solve-json", "solve-small", "trace", "enumerate"],
+)
+def test_closed_stdout_exits_1_silently(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    # stdout buffered, as by default, so a small output fails only when flushed
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "equipart", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def _limit_address_space():
@@ -201,6 +256,37 @@ def test_verify_rejects_deep_nesting_without_traceback(tmp_path):
     assert done.returncode == 1
     assert "malformed partition file" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_verify_memory_follows_the_file_not_its_claimed_n(tmp_path):
+    # a 69-byte file claiming n = 2^31 - 1: a byte per claimed element is
+    # 2 GiB, twice the address-space limit
+    path = _write(tmp_path, {"n": N_MAX, "k": 1, "t": triangular(N_MAX), "sets": [[1, 2]]})
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "verify", path],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert f"verification failed: set 1: sum 3 != {triangular(N_MAX)}" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 4]]}\xff',  # not UTF-8
+        b'{"n": ' + b"1" * 5000 + b', "k": 1, "t": 10, "sets": [[1, 2, 3, 4]]}',
+    ],
+    ids=["not-utf8", "5000-digit-n"],
+)
+def test_verify_rejects_undecodable_file(capsys, tmp_path, content):
+    path = tmp_path / "candidate.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("malformed partition file: ") and not out
 
 
 def test_verify_rejects_invalid_instance(capsys, tmp_path):
