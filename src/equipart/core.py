@@ -164,10 +164,15 @@ def verify_partition(
 ) -> VerificationReport:
     """Check a candidate against the three partition conditions.
 
-    The happy path is O(n) bulk work; a violating candidate triggers a
-    second pass that pins down the first offending set and element. Raises
-    TypeError if an element is not an ``int`` (``bool`` and ``float`` are
-    rejected too), before WrongArityError for a wrong number of sets.
+    Raises TypeError if an element is not an ``int`` (``bool`` and
+    ``float`` are rejected too), before WrongArityError for a wrong number
+    of sets. A candidate of exactly ``n`` elements whose sets each sum to
+    ``t``, with ``k * t = n(n+1)/2``, is checked in a table of ``n + 1``
+    bytes, about ``n`` bytes beyond the candidate: it is a partition iff
+    its elements mark every cell ``1..n``, since the sums leave no room for
+    a negative element that aliases a cell. Any other candidate, and one
+    the table rejects, gets a pass sized by the candidate, not by its
+    claimed ``n``, that pins down the first offending set and element.
     """
     sets = _candidate_sets(candidate)
     element_types = set(map(type, chain.from_iterable(sets)))
@@ -177,13 +182,23 @@ def verify_partition(
     if len(sets) != instance.k:
         raise WrongArityError(f"expected {instance.k} subsets, got {len(sets)}")
     n, t = instance.n, instance.t
-    total_len = sum(map(len, sets))
-    union = set().union(*sets) if sets else set()
-    disjoint = len(union) == total_len
-    covers = len(union) == n and (n == 0 or (min(union) == 1 and max(union) == n))
-    sums_ok = set(map(sum, sets)) <= {t}
-    if disjoint and covers and sums_ok:
-        return VerificationReport(True, True, True, None)
+    if instance.k * t == instance.total and sum(map(len, sets)) == n and set(map(sum, sets)) <= {t}:
+        # n elements that mark all n cells 1..n are pairwise distinct, so each
+        # sits in its own cell. An element above n, or below -(n + 1), raises
+        # IndexError; one in -(n + 1)..-1 marks cell x + n + 1, so m such
+        # elements would leave the total m * (n + 1) short of n(n+1)/2, which
+        # the sums (k sets of t, and k * t = n(n+1)/2) exclude. So the
+        # elements are exactly 1..n.
+        seen = bytearray(n + 1)
+        try:
+            for members in sets:
+                for x in members:
+                    seen[x] = 1
+        except IndexError:
+            pass
+        else:
+            if seen.find(0, 1) == -1:
+                return VerificationReport(True, True, True, None)
     return _diagnose(n, t, sets)
 
 

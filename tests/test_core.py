@@ -161,6 +161,99 @@ def test_verify_checks_element_types_before_arity():
         verify_partition(validate_instance(3, 2, 3), [[True, 2, 3]])
 
 
+@pytest.mark.parametrize(
+    "instance,sets,violation",
+    [
+        # -1 marks cell 3: only the k * t = n(n+1)/2 check rejects this one
+        (ProblemInstance(3, 1, 2), [[-1, 2, 1]], "set 1: element -1 outside 1..3"),
+        (ProblemInstance(3, 1, 6), [[0, 3, 3]], "set 1: element 0 outside 1..3"),
+        (ProblemInstance(4, 2, 5), [[5, 0], [2, 3]], "set 1: element 5 outside 1..4"),
+        (
+            ProblemInstance(3, 1, 6),
+            [[2**64, 3 - 2**64, 3]],
+            f"set 1: element {2**64} outside 1..3",
+        ),
+        (ProblemInstance(5, 1, 15), [[1, 1, 4, 4, 5]], "set 1: element 1 assigned more than once"),
+        (ProblemInstance(6, 3, 7), [[1, 6], [2, 5], [2, 5]], "set 3: element 2 assigned more than once"),
+    ],
+    ids=["wrapping-negative", "zero", "n-plus-1", "2**64", "duplicate-in-set", "duplicate-set"],
+)
+def test_verify_rejects_right_size_and_sums(instance, sets, violation):
+    # each candidate holds n elements summing to t per set, so the size and
+    # sum checks pass and only the element table can reject it
+    assert sum(map(len, sets)) == instance.n
+    assert all(sum(members) == instance.t for members in sets)
+    report = verify_partition(instance, sets)
+    assert not report.ok
+    assert report.first_violation == violation
+
+
+def test_verify_rejects_extra_elements_that_mark_every_cell():
+    # -3 marks cell 1 and cancels the second 3 in the sum: only the element
+    # count keeps the table from accepting
+    report = verify_partition(validate_instance(3, 1, 6), [[1, 2, 3, 3, -3]])
+    assert not report.ok
+    assert report.first_violation == "set 1: element 3 assigned more than once"
+
+
+@pytest.mark.parametrize("bogus", [True, 1.0])
+def test_verify_rejects_non_int_of_the_right_value_before_arity(bogus):
+    # right size and sums with the element read as 1, but one set too many
+    with pytest.raises(TypeError, match="must be int"):
+        verify_partition(validate_instance(3, 1, 6), [[bogus, 2, 3], []])
+
+
+def _oracle_ok(instance, sets):
+    # the three conditions as stated, with no shortcut
+    return (
+        len(sets) == instance.k
+        and all(sum(members) == instance.t for members in sets)
+        and sorted(x for members in sets for x in members) == list(range(1, instance.n + 1))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_agrees_with_oracle_on_mutated_partitions(data):
+    from equipart.solver import solve
+
+    n = data.draw(st.integers(min_value=1, max_value=3000), label="n")
+    k, t = data.draw(st.sampled_from(enumerate_instances(n)), label="(k, t)")
+    partition, _ = solve(validate_instance(n, k, t))
+    sets = [list(members) for members in partition.sets]
+    source = data.draw(st.integers(0, k - 1), label="source set")
+    index = data.draw(st.integers(0, len(sets[source]) - 1), label="element index")
+    mutation = data.draw(st.sampled_from(["replace", "move", "duplicate"]), label="mutation")
+    if mutation == "replace":
+        # x - (n + 1) is the value a negative index aliases onto x's own cell
+        alias = sets[source][index] - (n + 1)
+        values = st.one_of(st.integers(-2 * n, 2 * n), st.just(alias))
+        sets[source][index] = data.draw(values, label="value")
+    else:
+        target = data.draw(st.integers(0, k - 1), label="target set")
+        x = sets[source].pop(index) if mutation == "move" else sets[source][index]
+        sets[target].append(x)
+    assert verify_partition(partition.instance, sets).ok == _oracle_ok(partition.instance, sets)
+
+
+def test_verify_memory_is_a_byte_per_element():
+    import tracemalloc
+
+    from equipart.solver import solve
+
+    instance = validate_instance(200000, 100000, 200001)
+    partition, _ = solve(instance)
+    tracemalloc.start()
+    try:
+        report = verify_partition(instance, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # a set of the 200,000 elements would take about 8 MB
+    assert peak < 2**20
+
+
 def test_verify_metamorphic_move_breaks_partition():
     # moving any single element between two subsets must break a sum
     from equipart.solver import solve
