@@ -20,7 +20,7 @@ from .core import (
 )
 from .oracle import CapExceededError, brute_force_partition
 from .scan import ScanRecord, ScanResult, run_scan
-from .solver import SolveResult, classify_case, meander_even, meander_odd, solve, solve_detailed
+from .solver import SolveResult, meander_even, meander_odd, solve, solve_detailed
 from .trace import (
     Trace,
     TracePropertyReport,
@@ -56,7 +56,6 @@ __all__ = [
     "WrongArityError",
     "brute_force_partition",
     "check_trace_properties",
-    "classify_case",
     "enumerate_instances",
     "meander_even",
     "meander_odd",

@@ -100,7 +100,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     instance = _instance(args)
-    _, trace = plan(instance)  # the trace needs no sets
+    trace = plan(instance)  # the trace needs no sets
     print(render_trace(trace))
     return EXIT_OK
 

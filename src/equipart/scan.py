@@ -24,7 +24,7 @@ from .core import (
     verify_partition,
 )
 from .solver import solve_detailed
-from .trace import check_trace_properties, render_trace
+from .trace import TraceSymbol, _step_counts, check_trace_properties, render_trace
 
 CSV_COLUMNS = (
     "n",
@@ -92,10 +92,10 @@ class ScanResult:
 
 
 def scan_instance(n: int, k: int, t: int) -> tuple[ScanRecord | None, list[ScanViolation]]:
-    """Run every check on one instance; records per-step instances."""
+    """Run every check on one instance, re-validating the instance of every step."""
     instance = validate_instance(n, k, t)
     try:
-        result = solve_detailed(instance, record_steps=True)
+        result = solve_detailed(instance)
     except InvariantError as exc:
         return None, [ScanViolation(n, k, t, "solve", str(exc))]
 
@@ -109,8 +109,8 @@ def scan_instance(n: int, k: int, t: int) -> tuple[ScanRecord | None, list[ScanV
             ScanViolation(n, k, t, "trace-property", f"{failure.name}: {failure.detail}")
         )
     # each step after the first is a recursion child; re-validate it against
-    # the full input contract, independently of the solver's inline checks
-    for child in (result.trace.per_step or ())[1:]:
+    # the full input contract, independently of the solver's per-level gate
+    for child in result.trace.per_step[1:]:
         try:
             validate_instance(child.n, child.k, child.t)
         except InstanceError as exc:
@@ -121,23 +121,23 @@ def scan_instance(n: int, k: int, t: int) -> tuple[ScanRecord | None, list[ScanV
         violations.append(
             ScanViolation(n, k, t, "insertions", f"{result.insertions} placements for n={n}")
         )
-    depth = len(result.trace.symbols)
+    count = _step_counts(result.trace.runs)
+    depth = sum(count.values())
     limit = depth_limit(n, k)
     if depth > limit:
         violations.append(
             ScanViolation(n, k, t, "depth", f"depth {depth} exceeds limit {limit:.4f}")
         )
 
-    symbols = [sym.value for sym in result.trace.symbols]
     record = ScanRecord(
         n=n,
         k=k,
         t=t,
         trace_compact=render_trace(result.trace),
         depth=depth,
-        count_s=symbols.count("s"),
-        count_ge=symbols.count("ge"),
-        count_go=symbols.count("go"),
+        count_s=count[TraceSymbol.SMALLER],
+        count_ge=count[TraceSymbol.GREATER_EVEN],
+        count_go=count[TraceSymbol.GREATER_ODD],
         insertions=result.insertions,
         depth_bound=depth_bound(n, k),
         verified=not violations,

@@ -16,9 +16,11 @@ Every valid instance falls into exactly one case, checked in this order:
                 fills each remaining set in one piece.
 
 ``plan`` descends to the meander base in integer arithmetic only, gating
-every child against the input contract; a maximal run of ``s`` steps is
-one level, as it cannot end in the meander case (n - 2k = n mod 2k).
-``solve_detailed`` then builds the sets as tuples from the base up, each
+every level's child against the input contract. A maximal run of ``s``
+steps is one level, computed in closed form, not walked: it cannot end in
+the meander case (n - 2k = n mod 2k). The plan is the trace: one run per
+level, with the instance opening it. ``solve_detailed`` then walks the
+trace back and builds the sets as tuples from the base up, each
 level taking its child's sets in the child's own order. A level places one
 contiguous range above all of its child's elements, so appending keeps
 every set ascending; it must return k sets that gained exactly those n - n'.
@@ -43,11 +45,7 @@ from typing import Iterable
 from .core import InvariantError, Partition, PreconditionError, ProblemInstance
 from .trace import Trace, TraceSymbol
 
-# One level of a plan: (case, n, k, t, child n). An s level is a whole run
-# from its top n down to the child n; the meander base has child n 0.
-Level = tuple[TraceSymbol, int, int, int, int]
 Sets = list[tuple[int, ...]]
-StepLog = list[ProblemInstance] | None
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,8 @@ def _case(n: int, k: int, t: int) -> TraceSymbol:
     return TraceSymbol.GREATER_EVEN if t % 2 == 0 else TraceSymbol.GREATER_ODD
 
 
-def classify_case(instance: ProblemInstance) -> TraceSymbol:
-    """Return the case label, meander taking precedence."""
-    return _case(instance.n, instance.k, instance.t)
-
-
 def _check_child(parent: tuple[int, int, int], n: int, k: int, t: int) -> None:
-    """Inline feasibility gate for every recursive descent."""
+    """Feasibility gate for the child of every level of the plan."""
     if n < 1 or k < 1 or t < 1:
         raise InvariantError(f"child of {parent} is not positive: ({n}, {k}, {t})")
     if t < n:
@@ -81,47 +74,43 @@ def _check_child(parent: tuple[int, int, int], n: int, k: int, t: int) -> None:
         raise InvariantError(f"child sum mismatch: ({n}, {k}, {t}) from parent {parent}")
 
 
-def smaller_run(n: int, k: int, t: int, per_step: StepLog) -> tuple[int, int, int, int]:
-    """Case t >= 2n, a maximal run: (steps, child n, k, t); logs every step."""
-    steps = 0
-    while True:
-        if per_step is not None:
-            per_step.append(ProblemInstance(n, k, t))
-        steps += 1
-        child_n, child_t = n - 2 * k, t - 2 * (n - k) - 1
-        # the gate of _check_child, inlined: k > 0 is kept and t' >= n' > 0
-        # implies t' > 0
-        if child_n < 1 or child_t < child_n or 2 * k * child_t != child_n * (child_n + 1):
-            _check_child((n, k, t), child_n, k, child_t)
-        n, t = child_n, child_t
-        if t < 2 * n:  # the meander test cannot fire inside the run
-            return steps, n, k, t
+def smaller_run(n: int, k: int, t: int) -> tuple[int, int, int, int]:
+    """Case t >= 2n, a maximal run: (steps, child n, k, child t).
+
+    Given k*t = n(n+1)/2, t >= 2n holds exactly when n + 1 >= 4k, so the run
+    takes every step down to the last n_i = n - 2ki with n_i + 1 >= 4k, and
+    its child t is t minus the run's pair sums 2(n_i - k) + 1.
+    """
+    steps = (n - 4 * k + 1) // (2 * k) + 1
+    child_t = t - steps * (2 * n - 2 * k + 1) + 2 * k * steps * (steps - 1)
+    return steps, n - 2 * k * steps, k, child_t
 
 
-def plan(instance: ProblemInstance, *, record_steps: bool = False) -> tuple[list[Level], Trace]:
-    """The levels from the instance down to its meander base, and the trace."""
+def plan(instance: ProblemInstance) -> Trace:
+    """The trace from the instance down to its meander base: one run per
+    level, opened by the level's instance."""
     n, k, t = instance.n, instance.k, instance.t
-    levels: list[Level] = []
-    symbols: list[TraceSymbol] = []
-    per_step: StepLog = [] if record_steps else None
+    runs: list[tuple[TraceSymbol, int]] = []
+    openings: list[ProblemInstance] = []
     while (case := _case(n, k, t)) is not TraceSymbol.MEANDER:
         if case is TraceSymbol.SMALLER:
-            steps, child_n, child_k, child_t = smaller_run(n, k, t, per_step)
+            steps, child_n, child_k, child_t = smaller_run(n, k, t)
         elif case is TraceSymbol.GREATER_EVEN:
             steps, child_n, child_k, child_t = 1, t - n - 1, 2 * (k - n) + t - 1, t // 2
         else:
             steps, child_n, child_k, child_t = 1, t - n - 1, k - (2 * n - t + 1) // 2, t
-        if case is not TraceSymbol.SMALLER and per_step is not None:
-            per_step.append(ProblemInstance(n, k, t))
+        # One gate per level is enough for an s-run. Step i of the run has the
+        # child (n_i, k, t_i), n_i = n - 2ki, whose sum identity follows from
+        # the parent's by algebra; its t_i >= n_i >= 1 holds exactly when
+        # n_i + 1 >= 2k, and n_i only falls along the run, so the run's last
+        # child passing the gate means every child of the run passes it.
         _check_child((n, k, t), child_n, child_k, child_t)
-        levels.append((case, n, k, t, child_n))
-        symbols += [case] * steps
+        runs.append((case, steps))
+        openings.append(ProblemInstance(n, k, t))
         n, k, t = child_n, child_k, child_t
-    if per_step is not None:
-        per_step.append(ProblemInstance(n, k, t))
-    symbols.append(TraceSymbol.MEANDER)
-    levels.append((TraceSymbol.MEANDER, n, k, t, 0))
-    return levels, Trace(tuple(symbols), tuple(per_step) if per_step is not None else None)
+    runs.append((TraceSymbol.MEANDER, 1))
+    openings.append(ProblemInstance(n, k, t))
+    return Trace(tuple(runs), tuple(openings))
 
 
 def meander_columns(low: int, high: int, k: int) -> Iterable[tuple[int, ...]]:
@@ -165,9 +154,9 @@ def greater_odd(sets: Sets, n: int, t: int) -> Sets:
     return _pairs(n, t, (2 * n - t + 1) // 2) + sets
 
 
-def compose(level: Level, sets: Sets) -> Sets:
+def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets) -> Sets:
     """The sets of one level, built from the sets of its child (none for the base)."""
-    case, n, k, t, child_n = level
+    n, k, t = opening.n, opening.k, opening.t
     if case is TraceSymbol.MEANDER:
         sets = list(meander_columns(1 - n % 2, n, k))
         if n % 2:
@@ -181,24 +170,30 @@ def compose(level: Level, sets: Sets) -> Sets:
 
 
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:
-    """Solve an instance and report the trace and total element placements."""
-    levels, trace = plan(instance, record_steps=record_steps)
+    """Solve an instance and report the trace and total element placements.
+
+    ``record_steps`` is accepted and ignored: the trace always keeps the
+    instance opening each level, which is O(1) per level.
+    """
+    trace = plan(instance)
     sets: Sets = []
-    insertions = 0
-    for level in reversed(levels):
-        _, n, k, t, child_n = level
-        sets = compose(level, sets)
+    insertions = child_n = 0
+    # bottom-up: each level's child n is the n of the level composed before it
+    for (case, _), opening in zip(reversed(trace.runs), reversed(trace.openings)):
+        sets = compose(case, opening, child_n, sets)
+        n, k, t = opening.n, opening.k, opening.t
         placed = sum(map(len, sets)) - insertions
         if len(sets) != k or placed != n - child_n:
             got, want = (len(sets), placed), (k, n - child_n)
             raise InvariantError(f"level ({n}, {k}, {t}) made (sets, elements) {got}, expected {want}")
         insertions += placed
+        child_n = n
     return SolveResult(Partition(instance, tuple(sets)), trace, insertions)
 
 
-def solve(instance: ProblemInstance, *, record_steps: bool = False) -> tuple[Partition, Trace]:
+def solve(instance: ProblemInstance) -> tuple[Partition, Trace]:
     """Solve an instance, returning the partition and its trace."""
-    result = solve_detailed(instance, record_steps=record_steps)
+    result = solve_detailed(instance)
     return result.partition, result.trace
 
 

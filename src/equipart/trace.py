@@ -11,7 +11,8 @@ Canonical string grammar::
     sym   := "m" | "s" | "ge" | "go"
 
 Rendering compresses every maximal run of length >= 2; parsing also
-accepts uncompressed repeats such as ``"s s go m"``.
+accepts uncompressed repeats such as ``"s s go m"``. A :class:`Trace` keeps
+the word as runs of steps, one per level of the solver's plan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import chain, repeat
 
 from .core import ProblemInstance
 
@@ -39,52 +40,97 @@ class TraceSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Trace:
-    """Symbol sequence of one solve, optionally with the instance that was
-    active at each step (required for the run-length ceiling check)."""
+    """The steps of one solve as runs, one ``(symbol, steps)`` per level of the
+    plan, and the instance opening each run (None for a parsed trace)."""
 
-    symbols: tuple[TraceSymbol, ...]
-    per_step: tuple[ProblemInstance, ...] | None = None
+    runs: tuple[tuple[TraceSymbol, int], ...]
+    openings: tuple[ProblemInstance, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.symbols:
-            raise ValueError("a trace contains at least one symbol")
-        if self.per_step is not None and len(self.per_step) != len(self.symbols):
-            raise ValueError("per_step must align with symbols")
+        if not self.runs or any(steps < 1 for _, steps in self.runs):
+            raise ValueError("a trace contains at least one symbol, and a run at least one step")
+        if self.openings is not None and (
+            len(self.openings) != len(self.runs)
+            or any(steps > 1 for symbol, steps in self.runs if symbol is not TraceSymbol.SMALLER)
+        ):
+            raise ValueError("openings must open the runs, and only an s run spans several steps")
+
+    @property
+    def symbols(self) -> tuple[TraceSymbol, ...]:
+        """One symbol per step."""
+        return tuple(chain.from_iterable(repeat(symbol, steps) for symbol, steps in self.runs))
+
+    @property
+    def per_step(self) -> tuple[ProblemInstance, ...] | None:
+        """The instance at each step, or None without openings. Within an s run
+        each step follows from the one before by t' = t - 2(n - k) - 1, never
+        from k*t = n(n+1)/2, so a check of that identity stays independent."""
+        if self.openings is None:
+            return None
+        steps = []
+        for (_, count), opening in zip(self.runs, self.openings):
+            steps.append(opening)
+            n, k, t = opening.n, opening.k, opening.t
+            for _ in range(count - 1):
+                n, t = n - 2 * k, t - 2 * (n - k) - 1
+                steps.append(ProblemInstance(n, k, t))
+        return tuple(steps)
+
+
+def _maximal_runs(runs: tuple[tuple[TraceSymbol, int], ...]) -> list[list]:
+    """Adjacent runs of one symbol merged: [symbol, steps, first step, first run]."""
+    merged: list[list] = []
+    step = 0
+    for index, (symbol, steps) in enumerate(runs):
+        if merged and merged[-1][0] is symbol:
+            merged[-1][1] += steps
+        else:
+            merged.append([symbol, steps, step, index])
+        step += steps
+    return merged
+
+
+def _step_counts(runs: tuple[tuple[TraceSymbol, int], ...]) -> dict[TraceSymbol, int]:
+    """The number of steps of every symbol, zero for an absent one."""
+    count = dict.fromkeys(TraceSymbol, 0)
+    for symbol, steps in runs:
+        count[symbol] += steps
+    return count
 
 
 def render_trace(trace: Trace) -> str:
     """Render the canonical compact string, e.g. ``"s^94 go m"``."""
-    parts = []
-    for symbol, run in groupby(trace.symbols):
-        count = sum(1 for _ in run)
-        parts.append(symbol.value if count == 1 else f"{symbol.value}^{count}")
-    return " ".join(parts)
+    return " ".join(
+        symbol.value if steps == 1 else f"{symbol.value}^{steps}"
+        for symbol, steps, _, _ in _maximal_runs(trace.runs)
+    )
 
 
 _SYMBOLS = {symbol.value: symbol for symbol in TraceSymbol}
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a trace string; inverse of :func:`render_trace`."""
+    """Parse a trace string into maximal runs; inverse of :func:`render_trace`."""
     tokens = text.split()
     if not tokens:
         raise TraceSyntaxError("empty trace")
-    symbols: list[TraceSymbol] = []
+    runs: list[tuple[TraceSymbol, int]] = []
     for token in tokens:
         name, caret, exponent = token.partition("^")
         symbol = _SYMBOLS.get(name)
         if symbol is None:
             raise TraceSyntaxError(f"unknown symbol {name!r}")
-        if not caret:
-            symbols.append(symbol)
-            continue
-        if not (exponent.isascii() and exponent.isdigit()):  # isdigit alone takes "²", "١"
-            raise TraceSyntaxError(f"malformed run length in {token!r}")
-        count = int(exponent)
-        if count < 2:
-            raise TraceSyntaxError(f"run length must be at least 2, got {token!r}")
-        symbols.extend([symbol] * count)
-    return Trace(tuple(symbols))
+        count = 1
+        if caret:
+            if not (exponent.isascii() and exponent.isdigit()):  # isdigit alone takes "²", "١"
+                raise TraceSyntaxError(f"malformed run length in {token!r}")
+            count = int(exponent)
+            if count < 2:
+                raise TraceSyntaxError(f"run length must be at least 2, got {token!r}")
+        if runs and runs[-1][0] is symbol:
+            count += runs.pop()[1]
+        runs.append((symbol, count))
+    return Trace(tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -122,100 +168,60 @@ def check_trace_properties(
         final one directly feeding the meander call is followed by an s)
     P5  #ge <= log2(t) of the original instance      [needs instance]
     P6  a maximal s-run of length L starting at instance (nu, kappa)
-        satisfies 2 * kappa * L <= nu                [needs per_step]
+        satisfies 2 * kappa * L <= nu                [needs openings]
     """
-    syms = trace.symbols
-    m, s, ge, go = (
-        TraceSymbol.MEANDER,
-        TraceSymbol.SMALLER,
-        TraceSymbol.GREATER_EVEN,
-        TraceSymbol.GREATER_ODD,
-    )
-    checks: list[PropertyCheck] = []
+    runs = trace.runs
+    m, s = TraceSymbol.MEANDER, TraceSymbol.SMALLER
+    ge, go = TraceSymbol.GREATER_EVEN, TraceSymbol.GREATER_ODD
+    count = _step_counts(runs)
+    last = runs[-1][0]
+    # the symbol of the last step but one, None for a one-step trace
+    before_last = last if runs[-1][1] > 1 else runs[-2][0] if len(runs) > 1 else None
+    maximal = _maximal_runs(runs)
 
-    p1 = syms[-1] is m and syms.count(m) == 1
-    checks.append(
+    p1 = last is m and count[m] == 1
+    p2 = before_last in (None, ge, go)
+    bad_go = None  # a go run of two or more steps fails at its first step
+    for i, (symbol, steps, step, _) in enumerate(maximal):
+        after = maximal[i + 1][0] if i + 1 < len(maximal) else None
+        if symbol is go and (steps > 1 or after not in (s, m)):
+            bad_go = step
+            break
+    # the head is every step but the last
+    s_count, go_count = count[s] - (last is s), count[go] - (last is go)
+    p4 = s_count >= go_count - (before_last is go)
+    checks = [
         PropertyCheck(
-            "P1 terminal meander",
-            p1,
-            "" if p1 else f"m count {syms.count(m)}, last symbol {syms[-1].value}",
-        )
-    )
-
-    p2 = len(syms) < 2 or syms[-2] in (ge, go)
-    checks.append(
-        PropertyCheck(
-            "P2 pre-terminal symbol",
-            p2,
-            "" if p2 else f"symbol before m is {syms[-2].value}",
-        )
-    )
-
-    bad_go = next(
-        (
-            i
-            for i, sym in enumerate(syms)
-            if sym is go and (i + 1 >= len(syms) or syms[i + 1] not in (s, m))
+            "P1 terminal meander", p1, "" if p1 else f"m count {count[m]}, last symbol {last.value}"
         ),
-        None,
-    )
-    checks.append(
+        PropertyCheck(
+            "P2 pre-terminal symbol", p2, "" if p2 else f"symbol before m is {before_last.value}"
+        ),
         PropertyCheck(
             "P3 go continuation",
             bad_go is None,
             "" if bad_go is None else f"go at step {bad_go} not followed by s or m",
-        )
-    )
-
-    head = syms[:-1]
-    slack = 1 if head and head[-1] is go else 0
-    s_count, go_count = head.count(s), head.count(go)
-    p4 = s_count >= go_count - slack
-    checks.append(
-        PropertyCheck(
-            "P4 s/go balance",
-            p4,
-            "" if p4 else f"{s_count} s vs {go_count} go in head",
-        )
-    )
+        ),
+        PropertyCheck("P4 s/go balance", p4, "" if p4 else f"{s_count} s vs {go_count} go in head"),
+    ]
 
     if instance is None:
         checks.append(PropertyCheck("P5 ge budget", None, "instance not given"))
     else:
-        ge_count = syms.count(ge)
         budget = math.log2(instance.t)
-        p5 = ge_count <= budget
-        checks.append(
-            PropertyCheck(
-                "P5 ge budget",
-                p5,
-                "" if p5 else f"{ge_count} ge exceeds log2(t) = {budget:.4f}",
-            )
-        )
+        p5 = count[ge] <= budget
+        detail = "" if p5 else f"{count[ge]} ge exceeds log2(t) = {budget:.4f}"
+        checks.append(PropertyCheck("P5 ge budget", p5, detail))
 
-    if trace.per_step is None:
+    if trace.openings is None:
         checks.append(PropertyCheck("P6 s-run ceiling", None, "per-step instances not recorded"))
     else:
-        p6: bool | None = True
         detail = ""
-        i = 0
-        while i < len(syms):
-            if syms[i] is not s:
-                i += 1
-                continue
-            j = i
-            while j < len(syms) and syms[j] is s:
-                j += 1
-            length = j - i
-            opening = trace.per_step[i]
-            if 2 * opening.k * length > opening.n:
-                p6 = False
-                detail = (
-                    f"s-run of length {length} at step {i} exceeds "
-                    f"n/2k = {opening.n}/{2 * opening.k}"
-                )
+        for symbol, steps, step, index in maximal:
+            nu, two_kappa = trace.openings[index].n, 2 * trace.openings[index].k
+            if symbol is s and two_kappa * steps > nu:
+                detail = f"s-run of length {steps} at step {step} exceeds n/2k = {nu}/{two_kappa}"
                 break
-            i = j
-        checks.append(PropertyCheck("P6 s-run ceiling", p6, detail))
+        checks.append(PropertyCheck("P6 s-run ceiling", not detail, detail))
 
     return TracePropertyReport(tuple(checks))

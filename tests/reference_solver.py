@@ -2,10 +2,12 @@
 
 This is the pair-list solver (Reduction records, merge plans, per-set
 meander lists, a final sort) together with the meander builders it calls,
-copied unchanged apart from these imports. The differential tests check
-that the label-array solver in equipart.solver produces the same sets,
-trace symbols, per-step instances and insertion counts. Do not edit it to
-follow later changes of the library: it is the fixed point of comparison.
+copied unchanged apart from these imports and the Trace record below, the
+per-step form that the library's run-length Trace replaced. The
+differential tests check that the solver in equipart.solver produces the
+same sets, trace symbols, per-step instances and insertion counts. Do not
+edit it to follow later changes of the library: it is the fixed point of
+comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from dataclasses import dataclass
 from itertools import chain
 
 from equipart.core import InvariantError, Partition, PreconditionError, ProblemInstance
-from equipart.trace import Trace, TraceSymbol
+from equipart.trace import TraceSymbol
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Symbol sequence of one solve, with the instance at each step if recorded."""
+
+    symbols: tuple[TraceSymbol, ...]
+    per_step: tuple[ProblemInstance, ...] | None = None
 
 
 # --- meander builders (from equipart/meander.py) ---

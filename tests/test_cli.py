@@ -155,9 +155,8 @@ def test_closed_stdout_exits_1_silently(argv):
     assert (done.returncode, done.stderr) == (1, "")
 
 
-def _limit_address_space():
-    # 1 GiB, far below the 8 GB that the sets of n = 10^9 take
-    limit = 1 << 30
+def _limit_address_space(limit=1 << 30):
+    # 1 GiB by default, far below the 8 GB that the sets of n = 10^9 take
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     if hard != resource.RLIM_INFINITY:
         limit = min(limit, hard)
@@ -314,6 +313,18 @@ def test_trace_command_prints_compact_trace(capsys):
     assert out.strip() == "ge^3 go m"
     code, out, _ = run_cli(capsys, "trace", "--n", "9999", "--k", "12")
     assert out.strip() == "s^415 go s ge^2 m"
+
+
+def test_trace_near_n_max_plans_its_s_run_in_closed_form():
+    # one s-run of 357913939 steps: a symbol per step would take about 2.9 GB
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "trace", "--n", "2147483643", "--k", "3"],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: _limit_address_space(256 << 20),
+        timeout=30,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "s^357913939 go m\n", "")
 
 
 def test_oracle_command(capsys):

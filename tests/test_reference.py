@@ -68,9 +68,9 @@ BRANCH_POINT = [
 
 @pytest.mark.parametrize("triple,case,excess,parity", BRANCH_POINT)
 def test_same_as_reference_on_both_sides_of_the_column_branch(triple, case, excess, parity):
-    levels, _ = plan(validate_instance(*triple))
-    first = next(level for level in levels if level[0] is TraceSymbol(case))
-    _, n, k, _, child_n = first
-    low = child_n + 1 if case == "s" else 1 - n % 2
+    trace = plan(validate_instance(*triple))
+    first = next(i for i, (symbol, _) in enumerate(trace.runs) if symbol is TraceSymbol(case))
+    n, k = trace.openings[first].n, trace.openings[first].k
+    low = trace.openings[first + 1].n + 1 if case == "s" else 1 - n % 2
     assert ((n - low + 1) // (2 * k) - k, low % 2) == (excess, parity)
     assert_same_as_reference(*triple)

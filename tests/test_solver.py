@@ -1,9 +1,12 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equipart import solver
 from equipart.core import (
+    N_MAX,
     InvariantError,
     ProblemInstance,
     enumerate_instances,
@@ -12,7 +15,6 @@ from equipart.core import (
 )
 from equipart.scan import scan_instance
 from equipart.solver import (
-    classify_case,
     compose,
     plan,
     smaller_run,
@@ -26,6 +28,11 @@ def inst(n, k, t):
     return validate_instance(n, k, t)
 
 
+def case_of(instance):
+    """The case of an instance: that of the first level of its plan."""
+    return plan(instance).runs[0][0]
+
+
 def first_level(n, k, t):
     """The first level of the plan of (n, k, t) and what its composition places.
 
@@ -35,16 +42,17 @@ def first_level(n, k, t):
     took as {set: [child sets]}, the level, its child instance and the
     instances of its steps.
     """
-    levels, trace = plan(inst(n, k, t), record_steps=True)
-    level, child = levels[0], levels[1]
-    sets = compose(level, [(-(i + 1),) for i in range(child[2])])
+    trace = plan(inst(n, k, t))
+    (case, _), opening, child = trace.runs[0], trace.openings[0], trace.openings[1]
+    sets = compose(case, opening, child.n, [(-(i + 1),) for i in range(child.k)])
     assert len(sets) == k
     elements = [x for members in sets for x in members if x > 0]
     placed = {x: j for j, members in enumerate(sets) for x in members if x > 0}
     assert len(placed) == len(elements)  # no element placed twice
     took = {j: sorted(-x - 1 for x in members if x < 0) for j, members in enumerate(sets)}
-    steps = [step.n for step in trace.per_step].index(child[1])
-    return placed, took, level, ProblemInstance(*child[1:4]), list(trace.per_step[:steps])
+    steps = [step.n for step in trace.per_step].index(child.n)
+    level = (case, opening.n, opening.k, opening.t, child.n)
+    return placed, took, level, child, list(trace.per_step[:steps])
 
 
 def by_set(placed):
@@ -72,7 +80,7 @@ def by_set(placed):
     ],
 )
 def test_classify_case(triple, expected):
-    assert classify_case(inst(*triple)) is expected
+    assert case_of(inst(*triple)) is expected
 
 
 # --- levels: the plan's steps and what each composition places -------------
@@ -91,14 +99,13 @@ def test_reduce_smaller_golden():
 
 
 def test_reduce_smaller_deep_chain_head():
-    per_step = []
-    steps, child_n, child_k, child_t = smaller_run(1337, 7, 127779, per_step)
+    steps, child_n, child_k, child_t = smaller_run(1337, 7, 127779)
     # the whole run s^94 is one call; its first child is (1323, 7, 125118)
-    assert steps == len(per_step) == 94
-    assert per_step[1] == ProblemInstance(1323, 7, 125118)
+    assert steps == 94
     assert (child_n, child_k, child_t) == (1337 - 94 * 14, 7, 33)
-    placed, _, _, child, level_steps = first_level(1337, 7, 127779)
-    assert child == ProblemInstance(child_n, child_k, child_t) and level_steps == per_step
+    placed, _, _, child, per_step = first_level(1337, 7, 127779)
+    assert child == ProblemInstance(child_n, child_k, child_t) and len(per_step) == 94
+    assert per_step[1] == ProblemInstance(1323, 7, 125118)
     assert sorted(placed) == list(range(child_n + 1, 1338)) and len(placed) == 94 * 14
     # step i of the run pairs {n_i-2k+j, n_i-(j-1)}, summing to 2(n_i-k)+1
     for i, step in enumerate(per_step):
@@ -152,7 +159,72 @@ def test_reduce_greater_odd_large_instance():
     _, _, _, child, _ = first_level(1337, 573, 1561)
     assert child == ProblemInstance(223, 16, 1561)
     # the child is itself a direct meander instance: 32 | 224
-    assert classify_case(child) is TraceSymbol.MEANDER
+    assert case_of(child) is TraceSymbol.MEANDER
+
+
+def stepwise_run(n, k, t):
+    """An s-run walked one step of the recurrence at a time, as plan once did."""
+    steps = 0
+    while True:
+        steps += 1
+        n, t = n - 2 * k, t - 2 * (n - k) - 1
+        if t < 2 * n:
+            return steps, n, k, t
+
+
+def test_closed_form_run_equals_the_stepwise_walk_on_every_s_level_up_to_2000():
+    checked = 0
+    for n in range(1, 2001):
+        for k, t in enumerate_instances(n):
+            trace = plan(inst(n, k, t))
+            for (case, _), top in zip(trace.runs, trace.openings):
+                if case is TraceSymbol.SMALLER:
+                    triple = top.n, top.k, top.t
+                    assert smaller_run(*triple) == stepwise_run(*triple), triple
+                    checked += 1
+    assert checked == 18108
+
+
+def _divisors(n):
+    """The divisors of n(n+1)/2, from trial division of n and of n + 1."""
+    factors = {}
+    for m in (n, n + 1):
+        p = 2
+        while p * p <= m:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
+            p += 1
+        if m > 1:
+            factors[m] = factors.get(m, 0) + 1
+    factors[2] -= 1  # one of n, n + 1 is even
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return divisors
+
+
+@st.composite
+def long_s_openings(draw):
+    """An s-case (n, k, t) up to N_MAX with an s-run of at most 10^5 steps."""
+    n = draw(st.integers(min_value=3, max_value=N_MAX))
+    ks = sorted(
+        k
+        for k in _divisors(n)
+        if n <= 2 * 10**5 * k and n + 1 >= 4 * k and n % (2 * k) and (n + 1) % (2 * k)
+    )
+    if not ks:
+        n, ks = 1337, [7]  # (1337, 7, 127779) opens the run s^94
+    k = draw(st.sampled_from(ks))
+    return n, k, n * (n + 1) // (2 * k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_s_openings())
+def test_closed_form_run_equals_the_stepwise_walk_up_to_n_max(triple):
+    n, k, t = triple
+    assert case_of(inst(n, k, t)) is TraceSymbol.SMALLER
+    assert smaller_run(n, k, t) == stepwise_run(n, k, t)
 
 
 def _refusing(name):
@@ -182,9 +254,9 @@ def test_reducers_reject_each_others_cases(monkeypatch):
     calls = []
     real_run = solver.smaller_run
 
-    def run(n, k, t, per_step):
+    def run(n, k, t):
         calls.append((TraceSymbol.SMALLER, n, t, k))
-        return real_run(n, k, t, per_step)
+        return real_run(n, k, t)
 
     monkeypatch.setattr(solver, "smaller_run", run)
     for name in ("greater_even", "greater_odd"):
@@ -197,7 +269,7 @@ def test_reducers_reject_each_others_cases(monkeypatch):
         monkeypatch.setattr(solver, name, recording)
     for triple in [(9, 3, 15), (15, 5, 24), (1337, 7, 127779), (9999, 4040, 12375)]:
         calls.clear()
-        _, trace = solve(inst(*triple), record_steps=True)
+        _, trace = solve(inst(*triple))
         steps = list(zip(trace.symbols, trace.per_step, trace.per_step[1:]))
         openings = [
             (symbol, step, child)
@@ -207,14 +279,14 @@ def test_reducers_reject_each_others_cases(monkeypatch):
         runs = [(case, s.n, s.t, s.k) for case, s, _ in openings if case is TraceSymbol.SMALLER]
         splits = [(case, s.n, s.t, c.k) for case, s, c in openings if case is not TraceSymbol.SMALLER]
         assert calls == runs + splits[::-1], triple
-        assert all(classify_case(step) is case for case, step, _ in openings)
+        assert all(case_of(step) is case for case, step, _ in openings)
 
 
 def test_reductions_conserve_elements_and_sums():
     # the placed range plus the child universe {1..n'} is {1..n}, exactly
     for n in range(2, 121):
         for k, t in enumerate_instances(n):
-            label = classify_case(inst(n, k, t))
+            label = case_of(inst(n, k, t))
             if label is TraceSymbol.MEANDER:
                 continue
             placed, took, level, child, per_step = first_level(n, k, t)
@@ -277,9 +349,9 @@ def test_solve_golden_traces():
 
 
 def test_solve_records_steps_on_request():
+    # the steps are always derived from the openings; record_steps is ignored
+    assert solve(inst(25, 5, 65))[1] == solve_detailed(inst(25, 5, 65), record_steps=True).trace
     _, trace = solve(inst(25, 5, 65))
-    assert trace.per_step is None
-    _, trace = solve(inst(25, 5, 65), record_steps=True)
     assert trace.per_step is not None
     assert len(trace.per_step) == len(trace.symbols)
     assert trace.per_step[0] == ProblemInstance(25, 5, 65)

@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equipart.core import ProblemInstance, validate_instance
-from equipart.solver import solve
+import reference_trace
+from equipart.core import ProblemInstance, enumerate_instances, validate_instance
+from equipart.solver import plan, solve
 from equipart.trace import (
     Trace,
     TraceSymbol,
@@ -14,6 +17,11 @@ from equipart.trace import (
 )
 
 M, S, GE, GO = TraceSymbol.MEANDER, TraceSymbol.SMALLER, TraceSymbol.GREATER_EVEN, TraceSymbol.GREATER_ODD
+
+
+def per_symbol(symbols):
+    """A trace of one run per step, so no two adjacent runs are merged."""
+    return Trace(tuple((symbol, 1) for symbol in symbols))
 
 
 # --- rendering ------------------------------------------------------------
@@ -30,7 +38,8 @@ M, S, GE, GO = TraceSymbol.MEANDER, TraceSymbol.SMALLER, TraceSymbol.GREATER_EVE
     ],
 )
 def test_render_trace(symbols, expected):
-    assert render_trace(Trace(symbols)) == expected
+    assert render_trace(per_symbol(symbols)) == expected
+    assert render_trace(parse_trace(expected)) == expected
 
 
 # --- parsing --------------------------------------------------------------
@@ -42,6 +51,9 @@ def test_parse_trace_basic():
     # uncompressed repeats are accepted on input
     assert parse_trace("s s go m").symbols == (S, S, GO, M)
     assert parse_trace("  ge^3   go m ").symbols == (GE, GE, GE, GO, M)
+    # into maximal runs, without openings
+    assert parse_trace("s s^2 go m").runs == ((S, 3), (GO, 1), (M, 1))
+    assert parse_trace("ge^2 ge m").openings is None
 
 
 @pytest.mark.parametrize(
@@ -72,7 +84,7 @@ def test_parse_trace_rejects_malformed(text):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(list(TraceSymbol)), min_size=1, max_size=80))
 def test_parse_render_roundtrip(symbols):
-    trace = Trace(tuple(symbols))
+    trace = per_symbol(symbols)
     assert parse_trace(render_trace(trace)).symbols == trace.symbols
 
 
@@ -80,7 +92,11 @@ def test_trace_shape_validation():
     with pytest.raises(ValueError):
         Trace(())
     with pytest.raises(ValueError):
-        Trace((M,), per_step=())
+        Trace(((S, 0), (M, 1)))
+    with pytest.raises(ValueError):
+        Trace(((M, 1),), openings=())
+    with pytest.raises(ValueError):  # only an s run spans several steps of its opening
+        Trace(((GE, 2), (M, 1)), openings=(ProblemInstance(15, 5, 24), ProblemInstance(3, 1, 6)))
 
 
 # --- structural properties ------------------------------------------------
@@ -111,11 +127,11 @@ def test_property_p2_flags_s_before_terminal():
 
 
 def test_property_p1_flags_early_or_repeated_m():
-    report = check_trace_properties(Trace((M, M)))
+    report = check_trace_properties(per_symbol((M, M)))
     assert _statuses(report)["P1"] is False
-    report = check_trace_properties(Trace((M, GO, M)))
+    report = check_trace_properties(per_symbol((M, GO, M)))
     assert _statuses(report)["P1"] is False
-    report = check_trace_properties(Trace((S, S)))
+    report = check_trace_properties(per_symbol((S, S)))
     assert _statuses(report)["P1"] is False
 
 
@@ -139,30 +155,56 @@ def test_property_p5_needs_instance_and_bounds_ge():
     assert _statuses(report)["P5"] is True
 
 
+RUNS = ((S, 2), (GO, 1), (M, 1))
+# a run of 2 from (10, 3) breaks the ceiling: 2*3*2 > 10
+BAD_CEILING = (ProblemInstance(10, 3, 22), ProblemInstance(4, 2, 5), ProblemInstance(3, 1, 6))
+
+
 def test_property_p6_uses_recorded_steps():
-    trace = Trace((S, S, GO, M))
+    trace = Trace(RUNS)
     assert _statuses(check_trace_properties(trace))["P6"] is None
-    steps_ok = (
-        ProblemInstance(20, 3, 70),
-        ProblemInstance(14, 3, 35),
-        ProblemInstance(8, 3, 12),
-        ProblemInstance(3, 1, 6),
-    )
-    report = check_trace_properties(Trace((S, S, GO, M), per_step=steps_ok))
-    assert _statuses(report)["P6"] is True
-    steps_bad = (
-        ProblemInstance(10, 3, 22),  # run of 2 but 2*3*2 > 10
-        ProblemInstance(6, 3, 7),
-        ProblemInstance(4, 2, 5),
-        ProblemInstance(3, 1, 6),
-    )
-    report = check_trace_properties(Trace((S, S, GO, M), per_step=steps_bad))
+    openings = (ProblemInstance(20, 3, 70), ProblemInstance(8, 3, 12), ProblemInstance(3, 1, 6))
+    trace = Trace(RUNS, openings)
+    assert _statuses(check_trace_properties(trace))["P6"] is True
+    # the second step of the s run follows from the first by the recurrence
+    assert trace.per_step == (openings[0], ProblemInstance(14, 3, 35), *openings[1:])
+    report = check_trace_properties(Trace(RUNS, BAD_CEILING))
     assert _statuses(report)["P6"] is False
 
 
 def test_properties_pass_on_recorded_solver_run():
     instance = validate_instance(1337, 21, 42593)
-    _, trace = solve(instance, record_steps=True)
+    _, trace = solve(instance)
     report = check_trace_properties(trace, instance)
     assert report.ok
     assert all(check.passed is True for check in report.checks)  # nothing skipped
+
+
+# --- the checks on runs against the frozen per-step checks -----------------
+
+
+def assert_same_as_reference(trace, instance):
+    got = check_trace_properties(trace, instance).checks
+    want = reference_trace.check_trace_properties(trace, instance).checks
+    assert got == want, (trace, instance)
+
+
+def test_properties_same_as_reference_on_every_short_word():
+    words = [word for length in range(1, 7) for word in product(TraceSymbol, repeat=length)]
+    assert len(words) == 5460
+    for word in words:
+        # as one run per step and as maximal runs, without and with an instance
+        for trace in (per_symbol(word), parse_trace(" ".join(symbol.value for symbol in word))):
+            for instance in (None, ProblemInstance(5, 1, 15), validate_instance(1337, 21, 42593)):
+                assert_same_as_reference(trace, instance)
+
+
+def test_properties_same_as_reference_on_solver_traces_and_a_bad_ceiling():
+    for n in range(1, 301):
+        for k, t in enumerate_instances(n):
+            instance = validate_instance(n, k, t)
+            assert_same_as_reference(plan(instance), instance)
+    # the bad ceiling, as one run and split into one run per step
+    assert_same_as_reference(Trace(RUNS, BAD_CEILING), None)
+    split = ((S, 1), (S, 1), (GO, 1), (M, 1))
+    assert_same_as_reference(Trace(split, (BAD_CEILING[0], ProblemInstance(4, 3, 7), *BAD_CEILING[1:])), None)
