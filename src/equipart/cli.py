@@ -8,6 +8,7 @@ for the memory available) or a closed stdout, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -122,13 +123,26 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # json.load builds only trees of dicts, lists and scalars, which
+    # reference counting frees: the cyclic collector finds nothing in them,
+    # and left on it walks the file's lists again and again as they are built.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(args.path, encoding="utf-8") as handle:
+        return _verify_file(args.path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _verify_file(path: str) -> int:
+    try:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise TypeError("top-level JSON value must be an object")
         n, k, t, sets = payload["n"], payload["k"], payload["t"], payload["sets"]
-        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        if not isinstance(sets, list) or not set(map(type, sets)) <= {list}:
             raise TypeError('"sets" must be a list of lists')
         instance = validate_instance(n, k, t)  # TypeError on a non-int n, k or t
         report = verify_partition(instance, sets)  # TypeError on a non-int element

@@ -130,8 +130,15 @@ def _candidate_sets(candidate: Partition | Sequence[Sequence[int]]) -> Sequence[
 
 
 def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationReport:
-    """Slow element-by-element pass, run only when the fast pass failed."""
-    seen: set[int] = set()  # sized by the file, not by its claimed n
+    """Slow element-by-element pass, run only when the fast pass failed.
+
+    A candidate of at least ``n`` elements marks a table of ``n + 1``
+    bytes, no larger than the candidate; a smaller one keeps a set of its
+    elements, sized by the file, not by its claimed ``n``.
+    """
+    table = sum(map(len, sets)) >= n
+    seen: bytearray | set[int] = bytearray(n + 1) if table else set()
+    marked = 0
     disjoint = covers = sums_ok = True
     first: str | None = None
     for index, members in enumerate(sets, start=1):
@@ -140,20 +147,26 @@ def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationRepo
                 covers = False
                 if first is None:
                     first = f"set {index}: element {x} outside 1..{n}"
-            elif x in seen:
+            elif seen[x] if table else x in seen:
                 disjoint = False
                 if first is None:
                     first = f"set {index}: element {x} assigned more than once"
             else:
-                seen.add(x)
+                if table:
+                    seen[x] = 1
+                else:
+                    seen.add(x)
+                marked += 1
         set_sum = sum(members)
         if set_sum != t:
             sums_ok = False
             if first is None:
                 first = f"set {index}: sum {set_sum} != {t}"
-    if len(seen) < n and covers:
+    if marked < n and covers:
         covers = False
     if first is None and not covers:
+        # every element is distinct and in 1..n, so a table (at least n of
+        # them) covers it: only a set gets here
         missing = next(x for x in range(1, n + 1) if x not in seen)
         first = f"element {missing} missing"
     return VerificationReport(disjoint, covers, sums_ok, first)
@@ -171,8 +184,9 @@ def verify_partition(
     bytes, about ``n`` bytes beyond the candidate: it is a partition iff
     its elements mark every cell ``1..n``, since the sums leave no room for
     a negative element that aliases a cell. Any other candidate, and one
-    the table rejects, gets a pass sized by the candidate, not by its
-    claimed ``n``, that pins down the first offending set and element.
+    the table rejects, gets a pass that pins down the first offending set
+    and element: in a fresh table if it holds at least ``n`` elements,
+    else in a set of what it holds, never sized by a larger claimed ``n``.
     """
     sets = _candidate_sets(candidate)
     element_types = set(map(type, chain.from_iterable(sets)))
@@ -199,6 +213,7 @@ def verify_partition(
         else:
             if seen.find(0, 1) == -1:
                 return VerificationReport(True, True, True, None)
+        del seen  # _diagnose marks a fresh table; do not hold two
     return _diagnose(n, t, sets)
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -293,6 +294,57 @@ def test_verify_rejects_invalid_instance(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", path)
     assert code == 1
     assert "error:" in err
+
+
+def _set_collector(enabled):
+    gc.enable() if enabled else gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    """Leave the cyclic collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    _set_collector(enabled)
+
+
+def test_verify_runs_no_collection(capsys, tmp_path, collector_state):
+    partition, _ = solve(validate_instance(10**4, 5000, 10001))
+    inst = partition.instance
+    path = _write(tmp_path, {"n": inst.n, "k": inst.k, "t": inst.t, "sets": partition.sets})
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.collect()  # start from empty generations, so the count is the command's own
+    gc.callbacks.append(record)
+    try:
+        code, out, _ = run_cli(capsys, "verify", path)
+    finally:
+        gc.callbacks.remove(record)
+    assert code == 0 and out.startswith("ok: ")
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "payload,code",
+    [
+        ({"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 4]]}, 0),
+        ({"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 3]]}, 2),
+        ({"n": 4, "k": 2, "t": 5, "sets": [[1, 2, 3, 4]]}, 2),
+        ({"n": 4, "k": 1, "sets": [[1, 2, 3, 4]]}, 1),
+        ({"n": 5, "k": 2, "t": 7, "sets": [[5, 2], [3, 4, 1]]}, 1),  # raised to main
+    ],
+    ids=["ok", "verification-failure", "wrong-arity", "malformed", "invalid-instance"],
+)
+def test_verify_restores_the_collector_state(capsys, tmp_path, collector_state, enabled, payload, code):
+    _set_collector(enabled)
+    assert run_cli(capsys, "verify", _write(tmp_path, payload))[0] == code
+    assert gc.isenabled() is enabled
 
 
 # --- enumerate / trace / oracle ----------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_core
 from equipart.core import (
     N_MAX,
     NonPositiveError,
@@ -11,6 +12,7 @@ from equipart.core import (
     TargetTooSmallError,
     WidthOverflowError,
     WrongArityError,
+    _diagnose,
     enumerate_instances,
     triangular,
     validate_instance,
@@ -250,6 +252,83 @@ def test_verify_memory_is_a_byte_per_element():
     finally:
         tracemalloc.stop()
     assert report.ok
+    # a set of the 200,000 elements would take about 8 MB
+    assert peak < 2**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_diagnose_same_as_reference_on_mutated_partitions(data):
+    from equipart.solver import solve
+
+    n = data.draw(st.integers(min_value=1, max_value=2000), label="n")
+    k, t = data.draw(st.sampled_from(enumerate_instances(n)), label="(k, t)")
+    partition, _ = solve(validate_instance(n, k, t))
+    sets = [list(members) for members in partition.sets]
+    kinds = st.sampled_from(["duplicate", "drop", "out-of-range", "negative", "swap", "move"])
+    for mutation in data.draw(st.lists(kinds, min_size=1, max_size=3), label="mutations"):
+        nonempty = [i for i, members in enumerate(sets) if members]
+        source = data.draw(st.sampled_from(nonempty), label="source set")
+        index = data.draw(st.integers(0, len(sets[source]) - 1), label="element index")
+        target = data.draw(st.integers(0, k - 1), label="target set")
+        x = sets[source][index]
+        if mutation == "duplicate":
+            sets[target].append(x)
+        elif mutation == "drop":
+            sets[source].pop(index)
+        elif mutation == "out-of-range":
+            values = st.one_of(st.just(0), st.integers(n + 1, 3 * n))
+            sets[source][index] = data.draw(values, label="value")
+        elif mutation == "negative":
+            # x - (n + 1) is the value a negative index aliases onto x's own cell
+            values = st.one_of(st.integers(-3 * n, -1), st.just(x - (n + 1)))
+            sets[source][index] = data.draw(values, label="value")
+        elif mutation == "swap" and sets[target]:
+            other = data.draw(st.integers(0, len(sets[target]) - 1), label="other index")
+            sets[source][index], sets[target][other] = sets[target][other], x
+        elif mutation == "move":  # right elements, wrong sums
+            sets[target].append(sets[source].pop(index))
+        if not any(sets):
+            break
+    want = reference_core.diagnose(n, t, sets)
+    assert _diagnose(n, t, sets) == want
+    # the fast pass accepts only what the diagnosis would accept
+    assert verify_partition(partition.instance, sets) == want
+
+
+@pytest.mark.parametrize(
+    "n,t,sets",
+    [
+        (4, 6, [[1, 2, 3]]),  # k * t short of 1+...+n: only "missing" can report it
+        (4, 3, [[1, 2], [3]]),
+        (3, 2, [[1, 1], [2]]),  # n elements, so a table, with one repeated
+        (3, 4, [[1, 3], [4]]),
+        (2, 3, []),
+    ],
+)
+def test_diagnose_same_as_reference_on_inconsistent_instances(n, t, sets):
+    assert _diagnose(n, t, sets) == reference_core.diagnose(n, t, sets)
+
+
+def test_diagnose_memory_is_a_byte_per_element():
+    import tracemalloc
+
+    from equipart.solver import solve
+
+    instance = validate_instance(200000, 100000, 200001)
+    partition, _ = solve(instance)
+    sets = [list(members) for members in partition.sets]
+    # right sizes and sums, but two elements repeat and two are missing
+    sets[-1][0] -= 1
+    sets[-1][1] += 1
+    tracemalloc.start()
+    try:
+        report = verify_partition(instance, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == reference_core.diagnose(instance.n, instance.t, sets)
+    assert not report.disjoint
     # a set of the 200,000 elements would take about 8 MB
     assert peak < 2**20
 
