@@ -123,12 +123,6 @@ def validate_instance(n: int, k: int, t: int) -> ProblemInstance:
     return ProblemInstance(n, k, t)
 
 
-def _candidate_sets(candidate: Partition | Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-    if isinstance(candidate, Partition):
-        return candidate.sets
-    return candidate
-
-
 def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationReport:
     """Slow element-by-element pass, run only when the fast pass failed.
 
@@ -188,7 +182,7 @@ def verify_partition(
     and element: in a fresh table if it holds at least ``n`` elements,
     else in a set of what it holds, never sized by a larger claimed ``n``.
     """
-    sets = _candidate_sets(candidate)
+    sets = candidate.sets if isinstance(candidate, Partition) else candidate
     element_types = set(map(type, chain.from_iterable(sets)))
     if not element_types <= {int}:
         names = ", ".join(sorted(cls.__name__ for cls in element_types - {int}))

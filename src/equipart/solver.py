@@ -19,11 +19,12 @@ Every valid instance falls into exactly one case, checked in this order:
 every level's child against the input contract. A maximal run of ``s``
 steps is one level, computed in closed form, not walked: it cannot end in
 the meander case (n - 2k = n mod 2k). The plan is the trace: one run per
-level, with the instance opening it. ``solve_detailed`` then walks the
-trace back and builds the sets as tuples from the base up, each
-level taking its child's sets in the child's own order. A level places one
-contiguous range above all of its child's elements, so appending keeps
-every set ascending; it must return k sets that gained exactly those n - n'.
+level, with the instance opening it. ``solve_detailed`` walks it back and
+``compose`` builds each level's tuples from its child's sets, in the child's
+order, with one function per case: ``meander_even``/``meander_odd`` by the
+parity of n, the s-run's columns, or ``greater``. A level places one range
+above all of its child's elements, so appending keeps every set ascending;
+it must return k sets that gained exactly those n - n'.
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -40,12 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import InvariantError, Partition, PreconditionError, ProblemInstance
 from .trace import Trace, TraceSymbol
 
-Sets = list[tuple[int, ...]]
+Sets = Sequence[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -137,36 +138,47 @@ def meander_columns(low: int, high: int, k: int) -> Iterable[tuple[int, ...]]:
     return zip(*halves)
 
 
-def _pairs(n: int, t: int, filled: int) -> Sets:
-    """The finished sets {t-n+(j-1), n-(j-1)}, j = 1..filled, each of sum t."""
-    return list(zip(range(t - n, t - n + filled), range(n, n - filled, -1)))
+def meander_even(instance: ProblemInstance) -> Partition:
+    """The meander base for n even, 2k | n: the columns over 1..n, n insertions."""
+    n, k = instance.n, instance.k
+    if n % (2 * k) != 0:
+        raise PreconditionError(f"even meander needs 2k | n, got n={n}, k={k}")
+    # list, then tuple: tuple() of the columns' zip resizes as it goes
+    return Partition(instance, tuple(list(meander_columns(1, n, k))))
 
 
-def greater_even(sets: Sets, n: int, t: int) -> Sets:
-    """Case t < 2n, t even: (2n-t)/2 pairs, child set 1 with t/2, then the rest in twos."""
-    head = _pairs(n, t, (2 * n - t) // 2)
-    head.append(sets[0] + (t // 2,))
-    return head + list(map(tuple, map(sorted, map(add, sets[1::2], sets[2::2]))))
+def meander_odd(instance: ProblemInstance) -> Partition:
+    """The meander base for n odd, 2k | n+1: the columns over 0..n less the 0."""
+    n, k = instance.n, instance.k
+    if (n + 1) % (2 * k) != 0:
+        raise PreconditionError(f"odd meander needs 2k | n+1, got n={n}, k={k}")
+    sets = list(meander_columns(0, n, k))
+    sets[0] = sets[0][1:]  # the bookkeeping 0
+    return Partition(instance, tuple(sets))
 
 
-def greater_odd(sets: Sets, n: int, t: int) -> Sets:
-    """Case t < 2n, t odd: (2n-t+1)/2 pairs, then the child's sets."""
-    return _pairs(n, t, (2 * n - t + 1) // 2) + sets
+def greater(sets: Sets, n: int, t: int) -> Sets:
+    """Case t < 2n: (2n-t+1)//2 pairs {t-n+(j-1), n-(j-1)} of sum t, (2n-t)/2 for t
+    even; then the child's sets (t odd), or set 1 with t/2 and the rest in twos (t even)."""
+    filled = (2 * n - t + 1) // 2
+    composed = list(zip(range(t - n, t - n + filled), range(n, n - filled, -1)))
+    if t % 2:
+        composed += sets
+    else:
+        composed.append(sets[0] + (t // 2,))
+        composed += map(tuple, map(sorted, map(add, sets[1::2], sets[2::2])))
+    return composed
 
 
 def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets) -> Sets:
     """The sets of one level, built from the sets of its child (none for the base)."""
     n, k, t = opening.n, opening.k, opening.t
     if case is TraceSymbol.MEANDER:
-        sets = list(meander_columns(1 - n % 2, n, k))
-        if n % 2:
-            sets[0] = sets[0][1:]  # the bookkeeping 0
-        return sets
+        # 2k is even: it divides n when n is even and n + 1 when n is odd
+        return (meander_odd if n % 2 else meander_even)(opening).sets
     if case is TraceSymbol.SMALLER:
         return list(map(add, sets, meander_columns(child_n + 1, n, k)))
-    if case is TraceSymbol.GREATER_EVEN:
-        return greater_even(sets, n, t)
-    return greater_odd(sets, n, t)
+    return greater(sets, n, t)
 
 
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:
@@ -196,17 +208,3 @@ def solve(instance: ProblemInstance) -> tuple[Partition, Trace]:
     result = solve_detailed(instance)
     return result.partition, result.trace
 
-
-# Not called by the solver; kept because bench/run.py --trace 1 wraps these two names.
-def meander_even(instance: ProblemInstance) -> Partition:
-    """Solve an instance with n even and 2k | n in exactly n insertions."""
-    if instance.n % (2 * instance.k) != 0:
-        raise PreconditionError(f"even meander needs 2k | n, got n={instance.n}, k={instance.k}")
-    return solve_detailed(instance).partition
-
-
-def meander_odd(instance: ProblemInstance) -> Partition:
-    """Solve an instance with n odd and 2k | n + 1 in exactly n insertions."""
-    if (instance.n + 1) % (2 * instance.k) != 0:
-        raise PreconditionError(f"odd meander needs 2k | n+1, got n={instance.n}, k={instance.k}")
-    return solve_detailed(instance).partition

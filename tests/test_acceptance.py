@@ -232,23 +232,23 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
         problems.append("baseline scan not clean")
 
     real_smaller = solver.smaller_run
-    real_greater_even = solver.greater_even
+    real_greater = solver.greater
 
     def smaller_wrong_child_target(*args):
         steps, child_n, child_k, child_t = real_smaller(*args)
         return steps, child_n, child_k, child_t + 1
 
     def greater_even_pairing_shifted(sets, n, t):
-        # the pivot's set and the next one both take child set 0; the last
-        # child set is left out
-        if len(sets) >= 3:
+        # t even: the pivot's set and the next one both take child set 0;
+        # the last child set is left out
+        if t % 2 == 0 and len(sets) >= 3:
             sets = sets[:1] + sets[:-1]
-        return real_greater_even(sets, n, t)
+        return real_greater(sets, n, t)
 
     mutations = [
         ("meander line I off by one", "meander_columns", _meander_columns_line_one_off),
         ("s-run wrong child t'", "smaller_run", smaller_wrong_child_target),
-        ("case-III child pairing shifted", "greater_even", greater_even_pairing_shifted),
+        ("case-III child pairing shifted", "greater", greater_even_pairing_shifted),
     ]
     for title, attribute, mutant in mutations:
         with monkeypatch.context() as patch:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import reference_oracle
 from equipart.core import enumerate_instances, validate_instance, verify_partition
 from equipart.oracle import CapExceededError, brute_force_partition
 
@@ -46,24 +47,35 @@ def test_every_small_instance_has_a_partition():
             assert verify_partition(inst, partition).ok
 
 
-def test_search_deeper_than_the_stack_is_refused():
-    # one frame per element: n beyond the recursion limit is a cap error,
-    # not a RecursionError
+def test_same_partitions_as_the_recursive_search():
+    # the iterative search keeps the recursive one's order of tries exactly
+    for n in range(1, 31):
+        for k, t in enumerate_instances(n):
+            inst = validate_instance(n, k, t)
+            assert brute_force_partition(inst) == reference_oracle.brute_force_partition(inst), (n, k, t)
+
+
+def test_search_deeper_than_the_stack_is_solved():
+    # one stack entry per element, in a list: n beyond the recursion limit
+    # is bounded by the cap alone
     inst = validate_instance(1100, 550, 1101)
-    with pytest.raises(CapExceededError, match="search depth"):
-        brute_force_partition(inst, cap=2000)
-    # within the stack it still searches
+    partition = brute_force_partition(inst, cap=2000)
+    assert partition is not None
+    assert verify_partition(inst, partition).ok
     inst = validate_instance(400, 200, 401)
     partition = brute_force_partition(inst, cap=400)
     assert verify_partition(inst, partition).ok
 
 
-def test_cli_oracle_beyond_search_depth_exits_1_without_traceback():
+def test_cli_oracle_beyond_the_stack_solves_and_verifies():
     done = subprocess.run(
         [sys.executable, "-m", "equipart", "oracle", "--n", "1100", "--k", "550", "--cap", "2000"],
         capture_output=True,
         text=True,
     )
-    assert done.returncode == 1
-    assert "search depth" in done.stderr
+    assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header == "n=1100 k=550 t=1101"
+    sets = [tuple(map(int, row.split(": ")[1].split())) for row in rows]
+    assert verify_partition(validate_instance(1100, 550, 1101), sets).ok

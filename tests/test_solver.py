@@ -234,39 +234,67 @@ def _refusing(name):
     return step
 
 
+def _refusing_greater(parity):
+    # greater composes ge (t even) and go (t odd); refuse only the one named
+    real = solver.greater
+
+    def step(sets, n, t):
+        if t % 2 == parity:
+            raise AssertionError(f"greater called on t={t}")
+        return real(sets, n, t)
+
+    return step
+
+
 @pytest.mark.parametrize("step", ["smaller_run", "greater_even", "greater_odd"])
 def test_meander_case_reaches_no_step(monkeypatch, step):
-    monkeypatch.setattr(solver, step, _refusing(step))
+    if step == "smaller_run":
+        monkeypatch.setattr(solver, step, _refusing(step))
+    else:
+        monkeypatch.setattr(solver, "greater", _refusing_greater(step == "greater_odd"))
     partition, trace = solve(inst(11, 3, 22))
     assert render_trace(trace) == "m"
     assert verify_partition(partition.instance, partition).ok
 
 
+@pytest.mark.parametrize("triple", [(4, 2, 5), (3, 2, 3), (9, 3, 15), (1337, 7, 127779)])
+def test_base_is_one_meander_call_of_its_parity(monkeypatch, triple):
+    # every solve builds its base with meander_even or meander_odd, once,
+    # and the base's n picks which
+    calls = []
+    for name in ("meander_even", "meander_odd"):
+
+        def recording(instance, real=getattr(solver, name), name=name):
+            calls.append((name, instance))
+            return real(instance)
+
+        monkeypatch.setattr(solver, name, recording)
+    partition, trace = solve(inst(*triple))
+    base = trace.openings[-1]
+    assert calls == [("meander_odd" if base.n % 2 else "meander_even", base)]
+    assert verify_partition(partition.instance, partition).ok
+
+
 def test_reducers_reject_each_others_cases(monkeypatch):
     # smaller_run is handed exactly the instances opening an s-run, top-down
-    # while planning; greater_even and greater_odd compose exactly the ge and
-    # go levels, bottom-up after the plan, over the sets of their child
-    own_case = {
-        "smaller_run": TraceSymbol.SMALLER,
-        "greater_even": TraceSymbol.GREATER_EVEN,
-        "greater_odd": TraceSymbol.GREATER_ODD,
-    }
+    # while planning; greater composes exactly the ge and go levels, each
+    # with the parity of t its symbol names, bottom-up after the plan, over
+    # the sets of their child
     calls = []
     real_run = solver.smaller_run
+    real_greater = solver.greater
 
     def run(n, k, t):
         calls.append((TraceSymbol.SMALLER, n, t, k))
         return real_run(n, k, t)
 
+    def greater(sets, n, t):
+        case = TraceSymbol.GREATER_ODD if t % 2 else TraceSymbol.GREATER_EVEN
+        calls.append((case, n, t, len(sets)))
+        return real_greater(sets, n, t)
+
     monkeypatch.setattr(solver, "smaller_run", run)
-    for name in ("greater_even", "greater_odd"):
-        real = getattr(solver, name)
-
-        def recording(sets, n, t, real=real, name=name):
-            calls.append((own_case[name], n, t, len(sets)))
-            return real(sets, n, t)
-
-        monkeypatch.setattr(solver, name, recording)
+    monkeypatch.setattr(solver, "greater", greater)
     for triple in [(9, 3, 15), (15, 5, 24), (1337, 7, 127779), (9999, 4040, 12375)]:
         calls.clear()
         _, trace = solve(inst(*triple))
@@ -401,19 +429,19 @@ def test_insertions_count_the_elements_placed(monkeypatch):
 
 
 def test_dropped_element_raises(monkeypatch):
-    real = solver.greater_odd
+    real = solver.greater
 
     def forgetful(sets, n, t):
         composed = real(sets, n, t)
         composed[0] = composed[0][:1]  # the pair (t-n, n) loses n
         return composed
 
-    monkeypatch.setattr(solver, "greater_odd", forgetful)
+    monkeypatch.setattr(solver, "greater", forgetful)
     message = "level (9, 3, 15) made (sets, elements) (3, 3), expected (3, 4)"
     with pytest.raises(InvariantError, match=re.escape(message)):
         solve(inst(9, 3, 15))
 
-    monkeypatch.setattr(solver, "greater_odd", lambda sets, n, t: real(sets, n, t)[1:])
+    monkeypatch.setattr(solver, "greater", lambda sets, n, t: real(sets, n, t)[1:])
     message = "level (9, 3, 15) made (sets, elements) (2, 2), expected (3, 4)"
     with pytest.raises(InvariantError, match=re.escape(message)):
         solve(inst(9, 3, 15))
