@@ -12,9 +12,8 @@ safe to call concurrently without locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Width contract: n is capped so the triangular number (< 2**62) and every
 # intermediate product stay inside signed 64-bit range.
@@ -54,8 +53,7 @@ class InvariantError(RuntimeError):
     """An internal invariant failed; this always signals a bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class ProblemInstance:
+class ProblemInstance(NamedTuple):
     """A triple (n, k, t).  Build through :func:`validate_instance`."""
 
     n: int
@@ -68,16 +66,14 @@ class ProblemInstance:
         return self.n * (self.n + 1) // 2
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """k subsets of {1..n} in construction order, each stored ascending."""
 
     instance: ProblemInstance
     sets: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking disjointness, coverage and per-set sums."""
 
     disjoint: bool
@@ -117,10 +113,10 @@ def validate_instance(n: int, k: int, t: int) -> ProblemInstance:
         raise WidthOverflowError("k and t must fit in 64-bit range")
     if t < n:
         raise TargetTooSmallError(f"target t={t} is smaller than n={n}")
-    delta = triangular(n)
+    delta = n * (n + 1) // 2
     if k * t != delta:
         raise SumMismatchError(f"k*t = {k * t} does not equal 1+...+{n} = {delta}")
-    return ProblemInstance(n, k, t)
+    return tuple.__new__(ProblemInstance, (n, k, t))  # skips a Python-level __new__
 
 
 def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationReport:

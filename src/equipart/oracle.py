@@ -26,7 +26,7 @@ def brute_force_partition(instance: ProblemInstance, cap: int = DEFAULT_CAP) -> 
     The search keeps its own stack, one set index per placed element, so
     ``cap`` is its only bound: raises CapExceededError when n exceeds it.
     """
-    n, k, t = instance.n, instance.k, instance.t
+    n, k, t = instance
     if n > cap:
         raise CapExceededError(f"n={n} exceeds brute-force cap {cap}")
     remaining = [t] * k

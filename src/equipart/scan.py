@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .core import (
     N_MAX,
@@ -54,8 +53,7 @@ def depth_limit(n: int, k: int) -> float:
     return n / (2 * k) + 2 * math.log2(n * (n + 1) / (2 * k)) + 2
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Per-instance statistics for one CSV row."""
 
     n: int
@@ -71,8 +69,7 @@ class ScanRecord:
     verified: bool
 
 
-@dataclass(frozen=True)
-class ScanViolation:
+class ScanViolation(NamedTuple):
     n: int
     k: int
     t: int
@@ -80,8 +77,7 @@ class ScanViolation:
     message: str
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     records: tuple[ScanRecord, ...]
     violations: tuple[ScanViolation, ...]
     max_depth_ratio: float
@@ -112,11 +108,9 @@ def scan_instance(n: int, k: int, t: int) -> tuple[ScanRecord | None, list[ScanV
     # the full input contract, independently of the solver's per-level gate
     for child in result.trace.per_step[1:]:
         try:
-            validate_instance(child.n, child.k, child.t)
+            validate_instance(*child)
         except InstanceError as exc:
-            violations.append(
-                ScanViolation(n, k, t, "feasibility", f"child ({child.n}, {child.k}, {child.t}): {exc}")
-            )
+            violations.append(ScanViolation(n, k, t, "feasibility", f"child {tuple(child)}: {exc}"))
     if result.insertions != n:
         violations.append(
             ScanViolation(n, k, t, "insertions", f"{result.insertions} placements for n={n}")

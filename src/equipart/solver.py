@@ -39,9 +39,8 @@ odd case starts at 0, which opens the first column and is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import InvariantError, Partition, PreconditionError, ProblemInstance
 from .trace import Trace, TraceSymbol
@@ -49,8 +48,7 @@ from .trace import Trace, TraceSymbol
 Sets = Sequence[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     partition: Partition
     trace: Trace
     insertions: int
@@ -90,7 +88,7 @@ def smaller_run(n: int, k: int, t: int) -> tuple[int, int, int, int]:
 def plan(instance: ProblemInstance) -> Trace:
     """The trace from the instance down to its meander base: one run per
     level, opened by the level's instance."""
-    n, k, t = instance.n, instance.k, instance.t
+    n, k, t = instance
     runs: list[tuple[TraceSymbol, int]] = []
     openings: list[ProblemInstance] = []
     while (case := _case(n, k, t)) is not TraceSymbol.MEANDER:
@@ -172,7 +170,7 @@ def greater(sets: Sets, n: int, t: int) -> Sets:
 
 def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets) -> Sets:
     """The sets of one level, built from the sets of its child (none for the base)."""
-    n, k, t = opening.n, opening.k, opening.t
+    n, k, t = opening
     if case is TraceSymbol.MEANDER:
         # 2k is even: it divides n when n is even and n + 1 when n is odd
         return (meander_odd if n % 2 else meander_even)(opening).sets
@@ -193,7 +191,7 @@ def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> 
     # bottom-up: each level's child n is the n of the level composed before it
     for (case, _), opening in zip(reversed(trace.runs), reversed(trace.openings)):
         sets = compose(case, opening, child_n, sets)
-        n, k, t = opening.n, opening.k, opening.t
+        n, k, t = opening
         placed = sum(map(len, sets)) - insertions
         if len(sets) != k or placed != n - child_n:
             got, want = (len(sets), placed), (k, n - child_n)

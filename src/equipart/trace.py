@@ -18,9 +18,10 @@ the word as runs of steps, one per level of the solver's plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
+from operator import sub
+from typing import Iterable, NamedTuple
 
 from .core import ProblemInstance
 
@@ -38,22 +39,30 @@ class TraceSyntaxError(ValueError):
     """A trace string does not match the canonical grammar."""
 
 
-@dataclass(frozen=True)
-class Trace:
+Runs = tuple[tuple[TraceSymbol, int], ...]
+
+
+class _TraceFields(NamedTuple):  # a NamedTuple may not define __new__; Trace checks in its own
+    runs: Runs
+    openings: tuple[ProblemInstance, ...] | None = None
+
+
+class Trace(_TraceFields):
     """The steps of one solve as runs, one ``(symbol, steps)`` per level of the
     plan, and the instance opening each run (None for a parsed trace)."""
 
-    runs: tuple[tuple[TraceSymbol, int], ...]
-    openings: tuple[ProblemInstance, ...] | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the inherited one skips __new__
 
-    def __post_init__(self) -> None:
-        if not self.runs or any(steps < 1 for _, steps in self.runs):
+    def __new__(cls, runs: Runs, openings: tuple[ProblemInstance, ...] | None = None) -> Trace:
+        if not runs or any(steps < 1 for _, steps in runs):
             raise ValueError("a trace contains at least one symbol, and a run at least one step")
-        if self.openings is not None and (
-            len(self.openings) != len(self.runs)
-            or any(steps > 1 for symbol, steps in self.runs if symbol is not TraceSymbol.SMALLER)
+        if openings is not None and (
+            len(openings) != len(runs)
+            or any(steps > 1 for symbol, steps in runs if symbol is not TraceSymbol.SMALLER)
         ):
             raise ValueError("openings must open the runs, and only an s run spans several steps")
+        return tuple.__new__(cls, (runs, openings))
 
     @property
     def symbols(self) -> tuple[TraceSymbol, ...]:
@@ -67,17 +76,22 @@ class Trace:
         from k*t = n(n+1)/2, so a check of that identity stays independent."""
         if self.openings is None:
             return None
-        steps = []
-        for (_, count), opening in zip(self.runs, self.openings):
-            steps.append(opening)
-            n, k, t = opening.n, opening.k, opening.t
-            for _ in range(count - 1):
-                n, t = n - 2 * k, t - 2 * (n - k) - 1
-                steps.append(ProblemInstance(n, k, t))
-        return tuple(steps)
+        return tuple(chain.from_iterable(map(_run_steps, self.runs, self.openings)))
 
 
-def _maximal_runs(runs: tuple[tuple[TraceSymbol, int], ...]) -> list[list]:
+def _run_steps(run: tuple[TraceSymbol, int], opening: ProblemInstance) -> Iterable[ProblemInstance]:
+    """The instances of a run's steps. Along an s run n falls by 2k a step, and
+    t by the step's pair sum 2(n - k) + 1, which falls by 4k a step."""
+    (_, steps), (n, k, t) = run, opening
+    if steps == 1:
+        return (opening,)
+    pair_sums = range(2 * (n - k) + 1, 2 * (n - k) + 1 - 4 * k * (steps - 1), -4 * k)
+    targets = accumulate(pair_sums, sub, initial=t)
+    sizes = range(n, n - 2 * k * steps, -2 * k)
+    return map(tuple.__new__, repeat(ProblemInstance), zip(sizes, repeat(k), targets))
+
+
+def _maximal_runs(runs: Runs) -> list[list]:
     """Adjacent runs of one symbol merged: [symbol, steps, first step, first run]."""
     merged: list[list] = []
     step = 0
@@ -90,7 +104,7 @@ def _maximal_runs(runs: tuple[tuple[TraceSymbol, int], ...]) -> list[list]:
     return merged
 
 
-def _step_counts(runs: tuple[tuple[TraceSymbol, int], ...]) -> dict[TraceSymbol, int]:
+def _step_counts(runs: Runs) -> dict[TraceSymbol, int]:
     """The number of steps of every symbol, zero for an absent one."""
     count = dict.fromkeys(TraceSymbol, 0)
     for symbol, steps in runs:
@@ -133,8 +147,7 @@ def parse_trace(text: str) -> Trace:
     return Trace(tuple(runs))
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     """One structural property; passed is None when inputs were missing."""
 
     name: str
@@ -142,8 +155,7 @@ class PropertyCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TracePropertyReport:
+class TracePropertyReport(NamedTuple):
     checks: tuple[PropertyCheck, ...]
 
     @property

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import reference_oracle
-from equipart.core import enumerate_instances, validate_instance, verify_partition
+from equipart.core import ProblemInstance, enumerate_instances, validate_instance, verify_partition
 from equipart.oracle import CapExceededError, brute_force_partition
 
 
@@ -53,6 +53,47 @@ def test_same_partitions_as_the_recursive_search():
         for k, t in enumerate_instances(n):
             inst = validate_instance(n, k, t)
             assert brute_force_partition(inst) == reference_oracle.brute_force_partition(inst), (n, k, t)
+
+
+class LineBudgetExceeded(Exception):
+    pass
+
+
+def lines_run(limit, func, *args):
+    """Call func, counting the lines it runs; raise LineBudgetExceeded past limit.
+
+    A count, not a clock, so the bound holds on any machine and stops a
+    search that would run for hours at once."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > limit:
+                raise LineBudgetExceeded(f"{func.__name__} ran more than {limit} lines")
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is func.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        return func(*args), count
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.mark.parametrize("triple", [(16, 8, 16), (20, 10, 20)])
+def test_equal_rooms_are_tried_once(triple):
+    # k sets of t = n cannot hold 1..n (k * t < n(n+1)/2), so the search is
+    # exhaustive; it stays small only if each room is tried once per element.
+    # Trying every set of an equal room multiplies it by up to k!: (16, 8, 16)
+    # takes 72 tries with the pruning and 876,808 without.
+    result, lines = lines_run(5000, brute_force_partition, ProblemInstance(*triple))
+    assert result is None
+    assert lines > 100
 
 
 def test_search_deeper_than_the_stack_is_solved():
