@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input (including an instance too large
-for the memory available) or a closed stdout, 2 verification failure,
-3 internal invariant violation (including scan violations).
+``run``, the process entry, turns the cyclic garbage collector off, and
+``main`` maps every failure to an exit code: 0 success, 1 invalid input
+(including an instance too large for the memory available) or an output
+path or stdout that cannot be written, 2 verification failure, 3 internal
+invariant violation (including scan violations).
 """
 
 from __future__ import annotations
@@ -116,28 +118,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _instance(args)
     partition = brute_force_partition(instance, cap=args.cap)
     if partition is None:
-        print("internal invariant violation: no partition found", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantError("no partition found")
     _write_text(sys.stdout, partition, None)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # json.load builds only trees of dicts, lists and scalars, which
-    # reference counting frees: the cyclic collector finds nothing in them,
-    # and left on it walks the file's lists again and again as they are built.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        return _verify_file(args.path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _verify_file(path: str) -> int:
-    try:
-        with open(path, encoding="utf-8") as handle:
+        with open(args.path, encoding="utf-8") as handle:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise TypeError("top-level JSON value must be an object")
@@ -229,10 +217,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code
-    except BrokenPipeError:
-        # the reader went away: send what is still buffered to devnull, say nothing
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except OSError as exc:  # an --out path or a stdout that cannot be written
+        if not isinstance(exc, BrokenPipeError):  # a reader that went away is not reported
+            print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself fails: send what it still buffers to devnull, so the
+            # flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INVALID
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
@@ -246,5 +239,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
+    """Process entry point, for the console script and ``python -m equipart``."""
+    # A command builds trees of tuples, lists, dicts and scalars that reference
+    # counting frees; left on, the cyclic collector walks them as they grow.
+    gc.disable()
     raise SystemExit(main())

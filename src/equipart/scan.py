@@ -104,8 +104,8 @@ def scan_instance(n: int, k: int, t: int) -> tuple[ScanRecord | None, list[ScanV
         violations.append(
             ScanViolation(n, k, t, "trace-property", f"{failure.name}: {failure.detail}")
         )
-    # each step after the first is a recursion child; re-validate it against
-    # the full input contract, independently of the solver's per-level gate
+    # each step after the first is a recursion child; re-validate it against the full
+    # input contract, independently of the recurrence that derives an s-run's steps
     for child in result.trace.per_step[1:]:
         try:
             validate_instance(*child)

@@ -42,7 +42,9 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import InvariantError, Partition, PreconditionError, ProblemInstance
+from .core import (
+    InstanceError, InvariantError, Partition, PreconditionError, ProblemInstance, validate_instance
+)
 from .trace import Trace, TraceSymbol
 
 Sets = Sequence[tuple[int, ...]]
@@ -63,16 +65,6 @@ def _case(n: int, k: int, t: int) -> TraceSymbol:
     return TraceSymbol.GREATER_EVEN if t % 2 == 0 else TraceSymbol.GREATER_ODD
 
 
-def _check_child(parent: tuple[int, int, int], n: int, k: int, t: int) -> None:
-    """Feasibility gate for the child of every level of the plan."""
-    if n < 1 or k < 1 or t < 1:
-        raise InvariantError(f"child of {parent} is not positive: ({n}, {k}, {t})")
-    if t < n:
-        raise InvariantError(f"child target {t} below child size {n} (parent {parent})")
-    if 2 * k * t != n * (n + 1):
-        raise InvariantError(f"child sum mismatch: ({n}, {k}, {t}) from parent {parent}")
-
-
 def smaller_run(n: int, k: int, t: int) -> tuple[int, int, int, int]:
     """Case t >= 2n, a maximal run: (steps, child n, k, child t).
 
@@ -88,7 +80,7 @@ def smaller_run(n: int, k: int, t: int) -> tuple[int, int, int, int]:
 def plan(instance: ProblemInstance) -> Trace:
     """The trace from the instance down to its meander base: one run per
     level, opened by the level's instance."""
-    n, k, t = instance
+    n, k, t = opening = instance
     runs: list[tuple[TraceSymbol, int]] = []
     openings: list[ProblemInstance] = []
     while (case := _case(n, k, t)) is not TraceSymbol.MEANDER:
@@ -103,12 +95,16 @@ def plan(instance: ProblemInstance) -> Trace:
         # the parent's by algebra; its t_i >= n_i >= 1 holds exactly when
         # n_i + 1 >= 2k, and n_i only falls along the run, so the run's last
         # child passing the gate means every child of the run passes it.
-        _check_child((n, k, t), child_n, child_k, child_t)
+        try:
+            child = validate_instance(child_n, child_k, child_t)
+        except InstanceError as exc:
+            child, parent = (child_n, child_k, child_t), (n, k, t)
+            raise InvariantError(f"child {child} of parent {parent}: {exc}") from exc
         runs.append((case, steps))
-        openings.append(ProblemInstance(n, k, t))
-        n, k, t = child_n, child_k, child_t
+        openings.append(opening)
+        n, k, t = opening = child
     runs.append((TraceSymbol.MEANDER, 1))
-    openings.append(ProblemInstance(n, k, t))
+    openings.append(opening)
     return Trace(tuple(runs), tuple(openings))
 
 

@@ -136,9 +136,12 @@ def parse_trace(text: str) -> Trace:
             raise TraceSyntaxError(f"unknown symbol {name!r}")
         count = 1
         if caret:
-            if not (exponent.isascii() and exponent.isdigit()):  # isdigit alone takes "²", "١"
-                raise TraceSyntaxError(f"malformed run length in {token!r}")
-            count = int(exponent)
+            try:
+                if not (exponent.isascii() and exponent.isdigit()):  # isdigit alone takes "²", "١"
+                    raise ValueError
+                count = int(exponent)  # ValueError past the 4300 digits int() converts
+            except ValueError:
+                raise TraceSyntaxError(f"malformed run length in {token!r}") from None
             if count < 2:
                 raise TraceSyntaxError(f"run length must be at least 2, got {token!r}")
         if runs and runs[-1][0] is symbol:

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from equipart.cli import main
+from equipart import cli
+from equipart.cli import main, run
 from equipart.core import N_MAX, triangular, validate_instance
 from equipart.oracle import brute_force_partition
 from equipart.solver import solve
@@ -308,10 +309,16 @@ def collector_state():
     _set_collector(enabled)
 
 
-def test_verify_runs_no_collection(capsys, tmp_path, collector_state):
+_JSON_SOLVE = ["solve", "--n", "10000", "--k", "5000", "--format", "json"]
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-json"])
+def test_run_starts_no_collection(capsys, tmp_path, monkeypatch, collector_state, command):
     partition, _ = solve(validate_instance(10**4, 5000, 10001))
     inst = partition.instance
     path = _write(tmp_path, {"n": inst.n, "k": inst.k, "t": inst.t, "sets": partition.sets})
+    argv = ["verify", path] if command == "verify" else _JSON_SOLVE
+    monkeypatch.setattr(sys, "argv", ["equipart", *argv])
     starts = []
 
     def record(phase, info):
@@ -322,29 +329,76 @@ def test_verify_runs_no_collection(capsys, tmp_path, collector_state):
     gc.collect()  # start from empty generations, so the count is the command's own
     gc.callbacks.append(record)
     try:
-        code, out, _ = run_cli(capsys, "verify", path)
+        with pytest.raises(SystemExit) as exited:
+            run()
     finally:
         gc.callbacks.remove(record)
-    assert code == 0 and out.startswith("ok: ")
+    assert exited.value.code == 0 and capsys.readouterr().out.startswith(("ok: ", '{"n": 10000'))
     assert starts == []
+
+
+_VERIFY_PAYLOADS = {
+    "ok": {"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 4]]},
+    "verification-failure": {"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 3]]},
+    "wrong-arity": {"n": 4, "k": 2, "t": 5, "sets": [[1, 2, 3, 4]]},
+    "malformed": {"n": 4, "k": 1, "sets": [[1, 2, 3, 4]]},
+    "invalid-instance": {"n": 5, "k": 2, "t": 7, "sets": [[5, 2], [3, 4, 1]]},  # raised to main
+}
+
+
+@pytest.fixture
+def verify_payloads(tmp_path, monkeypatch):
+    """Each of _VERIFY_PAYLOADS as <name>.json in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for name, payload in _VERIFY_PAYLOADS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
-    "payload,code",
+    "argv,code",
     [
-        ({"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 4]]}, 0),
-        ({"n": 4, "k": 1, "t": 10, "sets": [[1, 2, 3, 3]]}, 2),
-        ({"n": 4, "k": 2, "t": 5, "sets": [[1, 2, 3, 4]]}, 2),
-        ({"n": 4, "k": 1, "sets": [[1, 2, 3, 4]]}, 1),
-        ({"n": 5, "k": 2, "t": 7, "sets": [[5, 2], [3, 4, 1]]}, 1),  # raised to main
+        (["verify", "ok.json"], 0),
+        (["verify", "verification-failure.json"], 2),
+        (["verify", "wrong-arity.json"], 2),
+        (["verify", "malformed.json"], 1),
+        (["verify", "invalid-instance.json"], 1),
+        (["solve", "--n", "9", "--k", "3"], 0),
+        (["solve", "--n", "9", "--k", "3", "--format", "json"], 0),
+        (["solve", "--n", "5", "--k", "2"], 1),
+        (["trace", "--n", "9999", "--k", "12"], 0),
+        (["enumerate", "--n", "1337"], 0),
+        (["oracle", "--n", "16", "--k", "4"], 0),
+        (["oracle", "--n", "31", "--k", "16"], 1),
+        (["scan", "--n-max", "30"], 0),
     ],
-    ids=["ok", "verification-failure", "wrong-arity", "malformed", "invalid-instance"],
+    ids=[*_VERIFY_PAYLOADS, "solve", "solve-json", "solve-invalid"]
+    + ["trace", "enumerate", "oracle", "oracle-cap", "scan"],
 )
-def test_verify_restores_the_collector_state(capsys, tmp_path, collector_state, enabled, payload, code):
+def test_verify_restores_the_collector_state(capsys, verify_payloads, collector_state, enabled, argv, code):
+    """main() leaves the collector as it found it, on every exit of verify and
+    for every other command; only run() turns it off."""
     _set_collector(enabled)
-    assert run_cli(capsys, "verify", _write(tmp_path, payload))[0] == code
+    assert run_cli(capsys, *argv)[0] == code
     assert gc.isenabled() is enabled
+
+
+def test_commands_leave_no_cycles_behind(capsys, tmp_path, collector_state):
+    # with the collector off, what a command leaves to it is the argument
+    # parser's own cycles: the same for every command and every size
+    path = str(tmp_path / "p.json")
+    commands = [["enumerate", "--n", "1"], _JSON_SOLVE, ["verify", path], ["scan", "--n-max", "300"]]
+    gc.disable()
+    found = []
+    for argv in commands:
+        gc.collect()
+        code = main(argv)
+        found.append((code, gc.collect()))
+        out = capsys.readouterr().out
+        if argv is _JSON_SOLVE:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(out)
+    assert found == [(0, found[0][1])] * len(commands)
 
 
 # --- enumerate / trace / oracle ----------------------------------------
@@ -387,6 +441,12 @@ def test_oracle_command(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "31", "--k", "16")
     assert code == 1
     assert "cap" in err
+
+
+def test_oracle_without_a_partition_is_an_invariant_violation(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_partition", lambda instance, cap: None)
+    code, out, err = run_cli(capsys, "oracle", "--n", "4", "--k", "2")
+    assert (code, out, err) == (3, "", "internal invariant violation: no partition found\n")
 
 
 # --- scan ---------------------------------------------------------------
@@ -436,3 +496,40 @@ def test_scan_rejects_n_max_beyond_width_contract():
     )
     assert (done.returncode, done.stdout) == (1, "")
     assert f"error: n_max={N_MAX + 1} exceeds supported maximum {N_MAX}" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "out,stdout_path,extra_env",
+    [
+        (".", os.devnull, {}),  # a directory
+        ("missing/scan.csv", os.devnull, {}),
+        (None, "/dev/full", {}),  # buffered, as by default: the flush fails
+        (None, "/dev/full", {"PYTHONUNBUFFERED": "1"}),  # the first write fails
+    ],
+    ids=["directory", "missing-directory", "full-stdout", "full-unbuffered-stdout"],
+)
+def test_output_that_cannot_be_written_exits_1_without_traceback(tmp_path, out, stdout_path, extra_env):
+    if not os.path.exists(stdout_path):
+        pytest.skip(f"this system has no {stdout_path}")
+    argv = ["scan", "--n-max", "5"] + ([] if out is None else ["--out", str(tmp_path / out)])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with open(stdout_path, "w") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "equipart", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**env, **extra_env},
+            timeout=60,
+        )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] != []
+
+
+def test_unwritable_out_path_leaves_stdout_working(capsys, tmp_path):
+    # only a failing stdout is sent to devnull; an --out failure leaves it alone
+    code, _, err = run_cli(capsys, "scan", "--n-max", "5", "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error:")
+    print("still here")
+    assert capsys.readouterr().out == "still here\n"

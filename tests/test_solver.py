@@ -428,6 +428,20 @@ def test_insertions_count_the_elements_placed(monkeypatch):
     assert [v.kind for v in violations] == ["solve"]
 
 
+def test_child_gate_names_the_child_its_parent_and_the_broken_rule(monkeypatch):
+    real = solver.smaller_run
+
+    def wrong_child_target(*args):
+        steps, child_n, child_k, child_t = real(*args)
+        return steps, child_n, child_k, child_t + 1
+
+    monkeypatch.setattr(solver, "smaller_run", wrong_child_target)
+    # s m: the child (15, 5, 24) of (25, 5, 65) becomes (15, 5, 25)
+    message = "child (15, 5, 25) of parent (25, 5, 65): k*t = 125 does not equal 1+...+15 = 120"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        solve_detailed(inst(25, 5, 65))
+
+
 def test_dropped_element_raises(monkeypatch):
     real = solver.greater
 

@@ -74,6 +74,7 @@ def test_parse_trace_basic():
         "go^2^2 m",
         "s^\u00b2 m",  # superscript two: isdigit() but not int()-able
         "s^\u0661\u0662 go m",  # Arabic-Indic 12: int() would read it as 12
+        pytest.param("s^" + "9" * 5000 + " m", id="s^9...9 m"),  # more digits than int() converts
     ],
 )
 def test_parse_trace_rejects_malformed(text):
