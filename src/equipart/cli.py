@@ -1,10 +1,10 @@
 """Command-line interface.
 
-``run``, the process entry, turns the cyclic garbage collector off, and
-``main`` maps every failure to an exit code: 0 success, 1 invalid input
-(including an instance too large for the memory available) or an output
-path or stdout that cannot be written, 2 verification failure, 3 internal
-invariant violation (including scan violations).
+``main`` maps every outcome, argparse's included, to an exit code: 0 success or
+``--help``, 1 invalid input (a usage error, an instance too large for memory) or
+an output path or stdout that cannot be written, 2 verification failure, 3
+internal invariant violation (including scan violations). ``run``, the process
+entry, alone touches process state: the cyclic collector and stdout's descriptor.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Iterator, Sequence, TextIO
 
 from .core import (
@@ -151,12 +152,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    result = run_scan(args.n_max, args.n_min)
-    if args.out is None:
-        write_csv(result.records, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_csv(result.records, handle)
+    # --out is opened before the scan, so a path that cannot be written fails at
+    # once; append mode leaves a file as it was until there are records to write
+    handle = None if args.out is None else open(args.out, "a", encoding="utf-8", newline="")
+    with handle or nullcontext(sys.stdout) as out:
+        result = run_scan(args.n_max, args.n_min)
+        if handle is not None and os.path.isfile(args.out):  # a device or pipe has nothing to empty
+            out.truncate(0)
+        write_csv(result.records, out)
     for violation in result.violations:
         print(
             f"violation: n={violation.n} k={violation.k} t={violation.t} "
@@ -212,20 +215,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse prints and exits: 0 after --help, 2 on a usage error
+            code = EXIT_OK if exc.code == 0 else EXIT_INVALID
+        else:
+            code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code
     except OSError as exc:  # an --out path or a stdout that cannot be written
         if not isinstance(exc, BrokenPipeError):  # a reader that went away is not reported
             print(f"error: {exc}", file=sys.stderr)
-        try:
-            sys.stdout.flush()
-        except OSError:
-            # stdout itself fails: send what it still buffers to devnull, so the
-            # flush at exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INVALID
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
@@ -243,4 +244,9 @@ def run() -> None:
     # A command builds trees of tuples, lists, dicts and scalars that reference
     # counting frees; left on, the cyclic collector walks them as they grow.
     gc.disable()
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # stdout fails: send its buffer to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -9,7 +9,6 @@ deterministic.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import NamedTuple, TextIO
 
@@ -159,21 +158,11 @@ def run_scan(n_max: int, n_min: int = 1) -> ScanResult:
 
 
 def write_csv(records: tuple[ScanRecord, ...] | list[ScanRecord], stream: TextIO) -> None:
-    """Write scan records with a fixed header and 4-decimal depth bounds."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """Write scan records as CSV text under a fixed header. No field needs quoting:
+    each is an int, a 4-decimal depth bound or a trace of ``m s ge go ^``, digits, spaces."""
+    stream.write(",".join(CSV_COLUMNS) + "\n")
     for r in records:
-        writer.writerow(
-            [
-                r.n,
-                r.k,
-                r.t,
-                r.depth,
-                r.count_s,
-                r.count_ge,
-                r.count_go,
-                r.insertions,
-                f"{r.depth_bound:.4f}",
-                r.trace_compact,
-            ]
+        stream.write(
+            f"{r.n},{r.k},{r.t},{r.depth},{r.count_s},{r.count_ge},{r.count_go},"
+            f"{r.insertions},{r.depth_bound:.4f},{r.trace_compact}\n"
         )

@@ -59,11 +59,35 @@ def test_solve_with_nonpositive_k_reports_positivity(capsys):
 
 @pytest.mark.parametrize("command", ["solve", "trace", "oracle"])
 def test_instance_options_are_listed_in_help(capsys, command):
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, "--help"])
-    assert exit_info.value.code == 0
+    assert main([command, "--help"]) == 0
     out = capsys.readouterr().out
     assert all(option in out for option in ("--n N", "--k K", "--t T"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["verify"],
+        ["frobnicate"],
+        ["solve", "--n", "x", "--k", "3"],
+        ["scan", "--n-max", "5", "--out"],
+    ],
+    ids=["no-command", "verify-no-path", "unknown-command", "non-integer-n", "out-without-path"],
+)
+def test_usage_error_is_invalid_input(capsys, argv):
+    # argparse's own exit code, 2, is the code of a failed verification
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: equipart") and "error:" in err
+
+
+def test_usage_error_exits_1_as_a_process():
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "verify"], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("usage: equipart verify") and "Traceback" not in done.stderr
 
 
 def test_solve_rejects_invalid_explicit_t(capsys):
@@ -135,8 +159,9 @@ def test_oracle_text_is_the_row_rendering(capsys):
         ["solve", "--n", "9", "--k", "3"],
         ["trace", "--n", "9999", "--k", "12"],
         ["enumerate", "--n", "1337"],
+        ["solve", "--help"],
     ],
-    ids=["solve-text", "solve-json", "solve-small", "trace", "enumerate"],
+    ids=["solve-text", "solve-json", "solve-small", "trace", "enumerate", "help"],
 )
 def test_closed_stdout_exits_1_silently(argv):
     read_end, write_end = os.pipe()
@@ -371,13 +396,14 @@ def verify_payloads(tmp_path, monkeypatch):
         (["oracle", "--n", "16", "--k", "4"], 0),
         (["oracle", "--n", "31", "--k", "16"], 1),
         (["scan", "--n-max", "30"], 0),
+        (["verify"], 1),
     ],
     ids=[*_VERIFY_PAYLOADS, "solve", "solve-json", "solve-invalid"]
-    + ["trace", "enumerate", "oracle", "oracle-cap", "scan"],
+    + ["trace", "enumerate", "oracle", "oracle-cap", "scan", "usage-error"],
 )
 def test_verify_restores_the_collector_state(capsys, verify_payloads, collector_state, enabled, argv, code):
-    """main() leaves the collector as it found it, on every exit of verify and
-    for every other command; only run() turns it off."""
+    """main() leaves the collector as it found it, for every command and on
+    every exit; only run() turns it off."""
     _set_collector(enabled)
     assert run_cli(capsys, *argv)[0] == code
     assert gc.isenabled() is enabled
@@ -533,3 +559,50 @@ def test_unwritable_out_path_leaves_stdout_working(capsys, tmp_path):
     assert code == 1 and err.startswith("error:")
     print("still here")
     assert capsys.readouterr().out == "still here\n"
+
+
+class _BrokenStdout(io.TextIOBase):
+    """A stdout whose reader went away, with no file descriptor."""
+
+    def write(self, *args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+def test_failing_stdout_without_a_descriptor_is_left_to_the_caller(capsys, monkeypatch):
+    def dup2(*args):
+        pytest.fail("main() replaced a file descriptor")
+
+    with monkeypatch.context() as patch:  # pytest's own capture calls dup2 between phases
+        patch.setattr(os, "dup2", dup2)
+        patch.setattr(sys, "stdout", _BrokenStdout())
+        code = main(["enumerate", "--n", "5"])
+    assert (code, capsys.readouterr().err) == (1, "")
+
+
+def test_unwritable_out_path_fails_before_the_scan(capsys, tmp_path, monkeypatch):
+    def run_scan(*args):
+        pytest.fail("the scan ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_scan", run_scan)
+    out_path = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run_cli(capsys, "scan", "--n-max", "1000", "--out", out_path)
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_failed_scan_leaves_an_existing_out_file_unchanged(capsys, tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"n,k\r\nkept\n")
+    code, _, err = run_cli(capsys, "scan", "--n-max", "0", "--out", str(path))
+    assert code == 1 and err.startswith("error: need 1 <= n_min")
+    assert path.read_bytes() == b"n,k\r\nkept\n"
+    # a scan that succeeds replaces the whole file
+    assert run_cli(capsys, "scan", "--n-max", "5", "--out", str(path))[0] == 0
+    assert path.read_bytes() == run_cli(capsys, "scan", "--n-max", "5")[1].encode()
+
+
+def test_scan_out_may_be_a_device(capsys):
+    # a device cannot be truncated; it is written as it is
+    code, out, err = run_cli(capsys, "scan", "--n-max", "5", "--out", os.devnull)
+    assert (code, out) == (0, "") and "0 violations" in err
