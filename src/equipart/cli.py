@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Iterator, Sequence, TextIO
+from itertools import chain, count
+from operator import add
+from typing import Sequence, TextIO
 
 from .core import (
     InstanceError,
     InvariantError,
-    Partition,
     ProblemInstance,
     SumMismatchError,
     WrongArityError,
@@ -31,52 +31,68 @@ from .core import (
 )
 from .oracle import DEFAULT_CAP, brute_force_partition
 from .scan import run_scan, write_csv
-from .solver import plan, solve
-from .trace import render_trace
+from .solver import Sets, compose_window, plan
+from .trace import Trace, render_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_INVARIANT = 3
 
-_CHUNK = 4096
+# the elements composed and written at a time: a window holds about this many, or one set
+_WINDOW = 1 << 14
 
 
-def _encoded_runs(sets: Sequence[Sequence[int]]) -> Iterator[str]:
-    """``json.dumps`` of runs of whole sets, cut once a run holds _CHUNK elements."""
-    run, size = [], 0
-    for members in sets:
-        run.append(members)
-        size += len(members)
-        if size >= _CHUNK:
-            yield json.dumps(run)
-            run, size = [], 0
-    if run:
-        yield json.dumps(run)
+class _Encoder(dict):
+    """Sets as one ``%``-format of a template per set size, each made once:
+    JSON arrays ``[1, 2]`` joined by ``", "``, or text rows ``set 7: 1 2``.
+    ``%d`` of an int is what ``json.dumps`` writes for it."""
+
+    def __init__(self, json_format: bool) -> None:
+        super().__init__()
+        self.numbered = not json_format
+        self.head, self.sep, self.tail, self.between = (
+            ("set %d: ", " ", "\n", "") if self.numbered else ("[", ", ", "]", ", ")
+        )
+
+    def __missing__(self, size: int) -> str:
+        template = self[size] = self.head + self.sep.join(["%d"] * size) + self.tail
+        return template
+
+    def __call__(self, sets: Sets, first: int) -> tuple[str, int]:
+        """The sets, rows numbered from ``first``, and the elements they hold."""
+        template = self.between.join(map(self.__getitem__, map(len, sets)))
+        numbers = len(sets) if self.numbered else 0
+        if numbers:  # each row's number, then its set: (7,) + (1, 2)
+            sets = map(add, zip(count(first)), sets)
+        values = tuple(chain.from_iterable(sets))
+        return template % values, len(values) - numbers
 
 
-def _write_text(out: TextIO, partition: Partition, trace_text: str | None) -> None:
-    inst = partition.instance
-    out.write(f"n={inst.n} k={inst.k} t={inst.t}\n")
-    if trace_text is not None:
-        out.write(f"trace: {trace_text}\n")
-    index = 1
-    for encoded in _encoded_runs(partition.sets):
-        # '[[6, 9], [7, 8]]' -> ['6 9', '7 8']: every set is a non-empty tuple of int
-        rows = encoded[2:-2].replace(",", "").split("] [")
-        out.write("".join(f"set {i}: {row}\n" for i, row in enumerate(rows, start=index)))
-        index += len(rows)
-
-
-def _write_json(out: TextIO, partition: Partition, trace_text: str) -> None:
-    inst = partition.instance
-    header = {"n": inst.n, "k": inst.k, "t": inst.t, "trace": trace_text, "sets": []}
-    out.write(json.dumps(header)[:-2])  # open, without the closing "]}"
-    runs = _encoded_runs(partition.sets)  # k >= 1 sets, so at least one run
-    out.write(next(runs)[1:-1])  # each run without its outer brackets
-    for encoded in runs:
-        out.write(", " + encoded[1:-1])
-    out.write("]}\n")
+def _write_solution(out: TextIO, trace: Trace, json_format: bool, window: int) -> None:
+    """Compose and write the partition of the trace's instance one window of
+    about ``window`` elements at a time. The header follows the first window,
+    so an instance too large to compose writes nothing."""
+    n, k, t = trace.openings[0]
+    trace_text = render_trace(trace)  # m s ge go ^, digits and spaces: nothing for JSON to escape
+    if json_format:
+        head = f'{{"n": {n}, "k": {k}, "t": {t}, "trace": "{trace_text}", "sets": ['
+        between, end = ", ", "]}\n"
+    else:
+        head, between, end = f"n={n} k={k} t={t}\ntrace: {trace_text}\n", "", ""
+    encode = _Encoder(json_format)
+    step = max(1, window * k // n)
+    written = 0
+    for a in range(0, k, step):
+        sets, _ = compose_window(trace, a, min(a + step, k))
+        text, elements = encode(sets, a + 1)
+        out.write(head)
+        out.write(text)
+        head = between
+        written += elements
+    if written != n:
+        raise InvariantError(f"wrote {written} elements of the partition of 1..{n}")
+    out.write(end)
 
 
 def _instance(args: argparse.Namespace) -> ProblemInstance:
@@ -92,13 +108,7 @@ def _instance(args: argparse.Namespace) -> ProblemInstance:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _instance(args)
-    partition, trace = solve(instance)
-    text = render_trace(trace)
-    if args.format == "json":
-        _write_json(sys.stdout, partition, text)
-    else:
-        _write_text(sys.stdout, partition, text)
+    _write_solution(sys.stdout, plan(_instance(args)), args.format == "json", _WINDOW)
     return EXIT_OK
 
 
@@ -120,11 +130,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     partition = brute_force_partition(instance, cap=args.cap)
     if partition is None:
         raise InvariantError("no partition found")
-    _write_text(sys.stdout, partition, None)
+    n, k, t = instance
+    sys.stdout.write(f"n={n} k={k} t={t}\n" + _Encoder(False)(partition.sets, 1)[0])
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json  # only verify reads JSON: off the import path of every other command
+
     try:
         with open(args.path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -175,8 +188,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_INVARIANT if result.violations else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: TextIO | None = None) -> None:
+        # argparse's own swallows an OSError, so --help into a closed unbuffered stdout exited 0
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equipart",
         description="Partition {1..n} into k disjoint subsets of equal sum.",
     )

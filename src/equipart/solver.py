@@ -19,12 +19,17 @@ Every valid instance falls into exactly one case, checked in this order:
 every level's child against the input contract. A maximal run of ``s``
 steps is one level, computed in closed form, not walked: it cannot end in
 the meander case (n - 2k = n mod 2k). The plan is the trace: one run per
-level, with the instance opening it. ``solve_detailed`` walks it back and
-``compose`` builds each level's tuples from its child's sets, in the child's
-order, with one function per case: ``meander_even``/``meander_odd`` by the
-parity of n, the s-run's columns, or ``greater``. A level places one range
-above all of its child's elements, so appending keeps every set ascending;
-it must return k sets that gained exactly those n - n'.
+level, with the instance opening it. ``compose_window`` builds any window
+of sets [a, b) from it: ``child_window`` maps the window down the plan to
+the child sets each level takes (an s-run the same sets, go the sets past
+its finished pairs, ge two child sets per set), then ``compose`` builds
+each level's tuples bottom-up from those, in the child's order, with one
+function per case: the meander's columns (``meander_even``/``meander_odd``
+by the parity of n for the whole base), the s-run's columns, or
+``greater``. A level places one range above all of its child's elements, so
+appending keeps every set ascending; it must return its window's sets with
+exactly the elements it places in them. ``solve_detailed`` is the window of
+all k sets; the CLI writes one window at a time.
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -48,6 +53,8 @@ from .core import (
 from .trace import Trace, TraceSymbol
 
 Sets = Sequence[tuple[int, ...]]
+# the cases as module globals, which read faster than TraceSymbol's attributes
+_MEANDER, _SMALLER, _GREATER_EVEN, _GREATER_ODD = TraceSymbol
 
 
 class SolveResult(NamedTuple):
@@ -59,10 +66,10 @@ class SolveResult(NamedTuple):
 def _case(n: int, k: int, t: int) -> TraceSymbol:
     two_k = 2 * k
     if n % two_k == 0 or (n + 1) % two_k == 0:
-        return TraceSymbol.MEANDER
+        return _MEANDER
     if t >= 2 * n:
-        return TraceSymbol.SMALLER
-    return TraceSymbol.GREATER_EVEN if t % 2 == 0 else TraceSymbol.GREATER_ODD
+        return _SMALLER
+    return _GREATER_EVEN if t % 2 == 0 else _GREATER_ODD
 
 
 def smaller_run(n: int, k: int, t: int) -> tuple[int, int, int, int]:
@@ -83,10 +90,10 @@ def plan(instance: ProblemInstance) -> Trace:
     n, k, t = opening = instance
     runs: list[tuple[TraceSymbol, int]] = []
     openings: list[ProblemInstance] = []
-    while (case := _case(n, k, t)) is not TraceSymbol.MEANDER:
-        if case is TraceSymbol.SMALLER:
+    while (case := _case(n, k, t)) is not _MEANDER:
+        if case is _SMALLER:
             steps, child_n, child_k, child_t = smaller_run(n, k, t)
-        elif case is TraceSymbol.GREATER_EVEN:
+        elif case is _GREATER_EVEN:
             steps, child_n, child_k, child_t = 1, t - n - 1, 2 * (k - n) + t - 1, t // 2
         else:
             steps, child_n, child_k, child_t = 1, t - n - 1, k - (2 * n - t + 1) // 2, t
@@ -103,24 +110,24 @@ def plan(instance: ProblemInstance) -> Trace:
         runs.append((case, steps))
         openings.append(opening)
         n, k, t = opening = child
-    runs.append((TraceSymbol.MEANDER, 1))
+    runs.append((_MEANDER, 1))
     openings.append(opening)
     return Trace(tuple(runs), tuple(openings))
 
 
-def meander_columns(low: int, high: int, k: int) -> Iterable[tuple[int, ...]]:
-    """The k sets of the meander pattern over low..high, each ascending.
+def meander_columns(low: int, high: int, k: int, a: int, b: int) -> Iterable[tuple[int, ...]]:
+    """Columns a..b-1 of the k-set meander pattern over low..high, each ascending.
 
     The range must be a whole number of blocks of 2k values; low = 1 is the
     even case, low = 0 the odd one.
     """
     two_k = 2 * k
     blocks = (high - low + 1) // two_k
-    if k < blocks:
+    if b - a < blocks:
         # few long columns: lines II and I are two strided slices each
         column = [0] * (2 * blocks)
         columns = []
-        for j in range(k):
+        for j in range(a, b):
             column[0::2] = range(low + j, high + 1, two_k)
             column[1::2] = range(low + two_k - 1 - j, high + 1, two_k)
             columns.append(tuple(column))
@@ -128,8 +135,17 @@ def meander_columns(low: int, high: int, k: int) -> Iterable[tuple[int, ...]]:
     # many short columns: zip the halves of every block, the second reversed
     halves = []
     for start in range(low, high + 1, two_k):
-        halves += (range(start, start + k), range(start + two_k - 1, start + k - 1, -1))
+        halves += (range(start + a, start + b), range(start + two_k - 1 - a, start + two_k - 1 - b, -1))
     return zip(*halves)
+
+
+def meander_sets(n: int, k: int, a: int, b: int) -> list[tuple[int, ...]]:
+    """Sets a..b-1 of the meander base: the columns over 1..n for n even, over
+    0..n less the 0 for n odd."""
+    sets = list(meander_columns(1 - n % 2, n, k, a, b))
+    if n % 2 and a == 0 < b:
+        sets[0] = sets[0][1:]  # the bookkeeping 0
+    return sets
 
 
 def meander_even(instance: ProblemInstance) -> Partition:
@@ -137,8 +153,8 @@ def meander_even(instance: ProblemInstance) -> Partition:
     n, k = instance.n, instance.k
     if n % (2 * k) != 0:
         raise PreconditionError(f"even meander needs 2k | n, got n={n}, k={k}")
-    # list, then tuple: tuple() of the columns' zip resizes as it goes
-    return Partition(instance, tuple(list(meander_columns(1, n, k))))
+    # tuple.__new__ skips a Python-level __new__, as in validate_instance
+    return tuple.__new__(Partition, (instance, tuple(meander_sets(n, k, 0, k))))
 
 
 def meander_odd(instance: ProblemInstance) -> Partition:
@@ -146,55 +162,93 @@ def meander_odd(instance: ProblemInstance) -> Partition:
     n, k = instance.n, instance.k
     if (n + 1) % (2 * k) != 0:
         raise PreconditionError(f"odd meander needs 2k | n+1, got n={n}, k={k}")
-    sets = list(meander_columns(0, n, k))
-    sets[0] = sets[0][1:]  # the bookkeeping 0
-    return Partition(instance, tuple(sets))
+    return tuple.__new__(Partition, (instance, tuple(meander_sets(n, k, 0, k))))
 
 
-def greater(sets: Sets, n: int, t: int) -> Sets:
-    """Case t < 2n: (2n-t+1)//2 pairs {t-n+(j-1), n-(j-1)} of sum t, (2n-t)/2 for t
-    even; then the child's sets (t odd), or set 1 with t/2 and the rest in twos (t even)."""
+def greater(sets: Sets, n: int, t: int, a: int, b: int) -> Sets:
+    """Case t < 2n, sets a..b-1: (2n-t+1)//2 pairs {t-n+(j-1), n-(j-1)} of sum t,
+    (2n-t)/2 for t even; then the child's sets (t odd), or the next set with
+    t/2 and the rest in twos (t even). ``sets`` are the child's sets that
+    ``child_window`` names for a..b-1."""
     filled = (2 * n - t + 1) // 2
-    composed = list(zip(range(t - n, t - n + filled), range(n, n - filled, -1)))
+    last = b if b < filled else filled
+    composed = list(zip(range(t - n + a, t - n + last), range(n - a, n - last, -1)))
     if t % 2:
         composed += sets
-    else:
+        return composed
+    pivot = 1 if a <= filled < b else 0
+    if pivot:
         composed.append(sets[0] + (t // 2,))
-        composed += map(tuple, map(sorted, map(add, sets[1::2], sets[2::2])))
+    composed += map(tuple, map(sorted, map(add, sets[pivot::2], sets[pivot + 1 :: 2])))
     return composed
 
 
-def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets) -> Sets:
-    """The sets of one level, built from the sets of its child (none for the base)."""
+def child_window(case: TraceSymbol, opening: ProblemInstance, a: int, b: int) -> tuple[int, int]:
+    """The child's sets [a', b') that a level's sets [a, b) are composed from."""
+    if case is _SMALLER:
+        return a, b
+    n, _, t = opening
+    filled = (2 * n - t + 1) // 2
+    if case is _GREATER_ODD:
+        return (a - filled if a > filled else 0), (b - filled if b > filled else 0)
+    if b <= filled:  # finished pairs alone
+        return 0, 0
+    # child set 0 joins t/2 in set `filled`, two child sets join in each later set
+    return (2 * (a - filled) - 1 if a > filled else 0), 2 * (b - filled) - 1
+
+
+def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets, a: int, b: int) -> Sets:
+    """Sets a..b-1 of one level, built from the child's sets they take (none for the base)."""
     n, k, t = opening
-    if case is TraceSymbol.MEANDER:
+    if case is _MEANDER:
+        if b - a < k:
+            return meander_sets(n, k, a, b)
         # 2k is even: it divides n when n is even and n + 1 when n is odd
         return (meander_odd if n % 2 else meander_even)(opening).sets
-    if case is TraceSymbol.SMALLER:
-        return list(map(add, sets, meander_columns(child_n + 1, n, k)))
-    return greater(sets, n, t)
+    if case is _SMALLER:
+        return list(map(add, sets, meander_columns(child_n + 1, n, k, a, b)))
+    return greater(sets, n, t, a, b)
+
+
+def compose_window(trace: Trace, a: int, b: int) -> tuple[Sets, int]:
+    """Sets a..b-1 of the trace's instance and the elements they hold.
+
+    Each level's window of sets is planned top-down by ``child_window``, then
+    composed bottom-up. Every level must return its window's sets, and a
+    level composed whole must place exactly its n - n' elements in them.
+    """
+    levels = []
+    for (case, _), opening in zip(trace.runs, trace.openings):
+        levels.append((case, opening, a, b))
+        if case is not _MEANDER:
+            a, b = child_window(case, opening, a, b)
+    sets: Sets = []
+    size = child_n = 0
+    for case, opening, a, b in reversed(levels):
+        sets = compose(case, opening, child_n, sets, a, b)
+        n, k, t = opening
+        placed = sum(map(len, sets)) - size
+        # only a whole level has an element count to hold to
+        if len(sets) != b - a or (placed != n - child_n and b - a == k):
+            got, want = (len(sets), placed), (b - a, n - child_n if b - a == k else placed)
+            raise InvariantError(
+                f"level ({n}, {k}, {t}) made (sets, elements) {got}, expected {want} in sets [{a}, {b})"
+            )
+        size += placed
+        child_n = n
+    return sets, size
 
 
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:
     """Solve an instance and report the trace and total element placements.
 
-    ``record_steps`` is accepted and ignored: the trace always keeps the
-    instance opening each level, which is O(1) per level.
+    The partition is the window of all k sets. ``record_steps`` is accepted
+    and ignored: the trace always keeps the instance opening each level,
+    which is O(1) per level.
     """
     trace = plan(instance)
-    sets: Sets = []
-    insertions = child_n = 0
-    # bottom-up: each level's child n is the n of the level composed before it
-    for (case, _), opening in zip(reversed(trace.runs), reversed(trace.openings)):
-        sets = compose(case, opening, child_n, sets)
-        n, k, t = opening
-        placed = sum(map(len, sets)) - insertions
-        if len(sets) != k or placed != n - child_n:
-            got, want = (len(sets), placed), (k, n - child_n)
-            raise InvariantError(f"level ({n}, {k}, {t}) made (sets, elements) {got}, expected {want}")
-        insertions += placed
-        child_n = n
-    return SolveResult(Partition(instance, tuple(sets)), trace, insertions)
+    sets, insertions = compose_window(trace, 0, instance.k)
+    return tuple.__new__(SolveResult, (tuple.__new__(Partition, (instance, tuple(sets))), trace, insertions))
 
 
 def solve(instance: ProblemInstance) -> tuple[Partition, Trace]:

@@ -154,7 +154,7 @@ def test_criterion_06_linear_meander_work():
     for n in range(1, 5001):
         odd = n % 2  # the odd case's columns also hold the bookkeeping 0
         for k in _divisors((n + odd) // 2):  # 2k | n, or 2k | n + 1
-            columns = list(solver.meander_columns(1 - odd, n, k))
+            columns = list(solver.meander_columns(1 - odd, n, k, 0, k))
             count = sum(map(len, columns))
             if len(columns) != k or count != n + odd:
                 problems.append(f"n={n} k={k}: meander_columns made {len(columns)} columns of {count} values")
@@ -213,14 +213,14 @@ def test_scan_csv_bytes_are_pinned(exhaustive_scan):
     assert hashlib.sha256(data).hexdigest() == SCAN_CSV_SHA256
 
 
-def _meander_columns_line_one_off(low, high, k):
+def _meander_columns_line_one_off(low, high, k, a, b):
     # line I one element too low: 2ki - j instead of 2ki - (j-1) in the even
     # case, so no set gets the last value of a block and the last set gets
     # its middle value twice
     two_k = 2 * k
     return [
         tuple(sorted([*range(low + j, high + 1, two_k), *range(low + two_k - 2 - j, high + 1, two_k)]))
-        for j in range(k)
+        for j in range(a, b)
     ]
 
 
@@ -238,12 +238,12 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
         steps, child_n, child_k, child_t = real_smaller(*args)
         return steps, child_n, child_k, child_t + 1
 
-    def greater_even_pairing_shifted(sets, n, t):
+    def greater_even_pairing_shifted(sets, n, t, a, b):
         # t even: the pivot's set and the next one both take child set 0;
         # the last child set is left out
         if t % 2 == 0 and len(sets) >= 3:
             sets = sets[:1] + sets[:-1]
-        return real_greater(sets, n, t)
+        return real_greater(sets, n, t, a, b)
 
     mutations = [
         ("meander line I off by one", "meander_columns", _meander_columns_line_one_off),

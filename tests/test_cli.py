@@ -9,11 +9,11 @@ import sys
 
 import pytest
 
-from equipart import cli
+from equipart import cli, solver
 from equipart.cli import main, run
-from equipart.core import N_MAX, triangular, validate_instance
+from equipart.core import N_MAX, enumerate_instances, triangular, validate_instance
 from equipart.oracle import brute_force_partition
-from equipart.solver import solve
+from equipart.solver import plan, solve
 from equipart.trace import render_trace
 
 
@@ -118,8 +118,8 @@ def test_solve_json_round_trips_through_verify(capsys, tmp_path):
 
 @pytest.mark.parametrize("n,k", [(4, 1), (9, 3), (9999, 3), (10000, 2500)])
 def test_solve_json_is_the_stdlib_encoding(capsys, n, k):
-    # (9999, 3): sets near the writer's chunk size; (10000, 2500): many chunks
-    # of tiny sets
+    # (9999, 3): three long sets in one window; (10000, 2500):
+    # many windows of tiny sets
     instance = validate_instance(n, k, triangular(n) // k)
     partition, trace = solve(instance)
     payload = {"n": n, "k": k, "t": instance.t, "trace": render_trace(trace), "sets": partition.sets}
@@ -134,14 +134,98 @@ def _rows(sets):
 
 @pytest.mark.parametrize("n,k", [(1, 1), (9, 3), (9999, 3), (10000, 2500), (1000000, 500000)])
 def test_solve_text_is_the_row_rendering(capsys, n, k):
-    # (9999, 3): rows longer than the writer's chunk; (10000, 2500) and
-    # (10^6, 500000): many runs of tiny sets, with sets on both sides of each cut
+    # (9999, 3): three long rows in one window; (10000, 2500) and (10^6, 500000): many
+    # windows of tiny sets, numbered on across each window's edge
     instance = validate_instance(n, k, triangular(n) // k)
     partition, trace = solve(instance)
     header = f"n={n} k={k} t={instance.t}\ntrace: {render_trace(trace)}\n"
     code, out, _ = run_cli(capsys, "solve", "--n", str(n), "--k", str(k))
     assert code == 0
     assert out == header + _rows(partition.sets)
+
+
+def _eager_rendering(instance, json_format):
+    partition, trace = solve(instance)
+    n, k, t = instance
+    if json_format:
+        payload = {"n": n, "k": k, "t": t, "trace": render_trace(trace), "sets": partition.sets}
+        return json.dumps(payload) + "\n"
+    return f"n={n} k={k} t={t}\ntrace: {render_trace(trace)}\n" + _rows(partition.sets)
+
+
+@pytest.mark.parametrize("window", [1, 3, 17, cli._WINDOW])
+def test_windowed_solve_writes_the_eager_partition(window):
+    # every instance with n <= 400, composed and written a window of about
+    # `window` elements at a time, against the eager solve rendered whole
+    for n in range(1, 401):
+        for k, t in enumerate_instances(n):
+            instance = validate_instance(n, k, t)
+            for json_format in (True, False):
+                out = io.StringIO()
+                cli._write_solution(out, plan(instance), json_format, window)
+                assert out.getvalue() == _eager_rendering(instance, json_format), (n, k, json_format)
+
+
+def test_solve_counts_the_elements_it_writes(capsys, monkeypatch):
+    real = cli.compose_window
+
+    def dropping(trace, a, b):  # the window's last set loses its last element
+        sets, size = real(trace, a, b)
+        return [*sets[:-1], sets[-1][:-1]], size - 1
+
+    monkeypatch.setattr(cli, "compose_window", dropping)
+    monkeypatch.setattr(cli, "_WINDOW", 4)
+    code, out, err = run_cli(capsys, "solve", "--n", "15", "--k", "5")
+    assert code == 3
+    assert err == "internal invariant violation: wrote 10 elements of the partition of 1..15\n"
+    # the stream was written before the count fell short
+    assert out.startswith("n=15 k=5 t=24\ntrace: ge^2 m\nset 1: 9\n")
+
+
+def test_every_level_returns_its_windows_sets(capsys, monkeypatch):
+    real = solver.greater
+
+    def losing(sets, n, t, a, b):  # a window past the first loses its last set
+        composed = real(sets, n, t, a, b)
+        return composed[:-1] if a > 0 else composed
+
+    monkeypatch.setattr(solver, "greater", losing)
+    monkeypatch.setattr(cli, "_WINDOW", 6)  # sets [0, 2), [2, 4), [4, 5) of (15, 5, 24)
+    code, out, err = run_cli(capsys, "solve", "--n", "15", "--k", "5", "--format", "json")
+    assert code == 3
+    assert err == (
+        "internal invariant violation: level (15, 5, 24) made (sets, elements) (1, 0), "
+        "expected (2, 0) in sets [2, 4)\n"
+    )
+    assert out == '{"n": 15, "k": 5, "t": 24, "trace": "ge^2 m", "sets": [[9, 15], [10, 14]'
+
+
+# ru_maxrss, in KiB (bytes on macOS), of one `equipart` child of this small
+# process: the child's own high-water mark, not that of the test process
+_SPAWN_AND_REPORT_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "equipart", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_solve_memory_follows_the_window_not_n(form):
+    # all 10^6 elements at once peaked at 83 MB; one window at a time is the
+    # interpreter and about 2^14 elements
+    done = subprocess.run(
+        [sys.executable, "-c", _SPAWN_AND_REPORT_RSS, "solve", "--n", "1000000", "--k", "500000"]
+        + ["--format", form],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss = map(int, done.stdout.split())
+    rss_mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert code == 0
+    assert rss_mb < 40, f"peak RSS {rss_mb:.1f} MB"
 
 
 def test_oracle_text_is_the_row_rendering(capsys):
@@ -152,22 +236,27 @@ def test_oracle_text_is_the_row_rendering(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,unbuffered",
     [
-        ["solve", "--n", "100000", "--k", "50000"],
-        ["solve", "--n", "100000", "--k", "50000", "--format", "json"],
-        ["solve", "--n", "9", "--k", "3"],
-        ["trace", "--n", "9999", "--k", "12"],
-        ["enumerate", "--n", "1337"],
-        ["solve", "--help"],
+        (["solve", "--n", "100000", "--k", "50000"], False),
+        (["solve", "--n", "100000", "--k", "50000", "--format", "json"], False),
+        (["solve", "--n", "9", "--k", "3"], False),
+        (["trace", "--n", "9999", "--k", "12"], False),
+        (["enumerate", "--n", "1337"], False),
+        (["solve", "--help"], False),
+        # unbuffered, the help text fails in its own write, which argparse's
+        # own print_help would swallow
+        (["solve", "--help"], True),
     ],
-    ids=["solve-text", "solve-json", "solve-small", "trace", "enumerate", "help"],
+    ids=["solve-text", "solve-json", "solve-small", "trace", "enumerate", "help", "help-unbuffered"],
 )
-def test_closed_stdout_exits_1_silently(argv):
+def test_closed_stdout_exits_1_silently(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
     # stdout buffered, as by default, so a small output fails only when flushed
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         done = subprocess.run(
             [sys.executable, "-m", "equipart", *argv],
@@ -201,8 +290,8 @@ def test_instance_too_large_for_memory_exits_1_without_traceback(command):
     assert "Traceback" not in done.stderr
     if command == "trace":  # only the plan: no sets, nothing per element
         assert (done.returncode, done.stdout) == (0, "m\n")
-    else:
-        assert done.returncode == 1
+    else:  # the first window is composed before the header is written
+        assert (done.returncode, done.stdout) == (1, "")
         assert "error: not enough memory" in done.stderr
 
 

@@ -117,7 +117,7 @@ def _solved(n, k, meander):
     """The meander's sets as lists, and the values meander_columns yields."""
     sets = [list(s) for s in meander(validate_instance(n, k, n * (n + 1) // (2 * k))).sets]
     # the odd case starts at the bookkeeping 0
-    return sets, sum(map(len, meander_columns(1 - n % 2, n, k)))
+    return sets, sum(map(len, meander_columns(1 - n % 2, n, k, 0, k)))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 30, 60, 120, 252, 400])

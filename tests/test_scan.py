@@ -65,11 +65,11 @@ def test_write_csv_exact_bytes():
 def test_scan_instance_detects_seeded_bug(monkeypatch):
     real = solver.meander_columns
 
-    def rotated_columns(low, high, k):
+    def rotated_columns(low, high, k, a, b):
         # every value goes to the set meant for its successor
         return [
             tuple(sorted(high if x == low else x - 1 for x in column))
-            for column in real(low, high, k)
+            for column in real(low, high, k, a, b)
         ]
 
     monkeypatch.setattr(solver, "meander_columns", rotated_columns)

@@ -44,7 +44,7 @@ def first_level(n, k, t):
     """
     trace = plan(inst(n, k, t))
     (case, _), opening, child = trace.runs[0], trace.openings[0], trace.openings[1]
-    sets = compose(case, opening, child.n, [(-(i + 1),) for i in range(child.k)])
+    sets = compose(case, opening, child.n, [(-(i + 1),) for i in range(child.k)], 0, k)
     assert len(sets) == k
     elements = [x for members in sets for x in members if x > 0]
     placed = {x: j for j, members in enumerate(sets) for x in members if x > 0}
@@ -238,10 +238,10 @@ def _refusing_greater(parity):
     # greater composes ge (t even) and go (t odd); refuse only the one named
     real = solver.greater
 
-    def step(sets, n, t):
+    def step(sets, n, t, a, b):
         if t % 2 == parity:
             raise AssertionError(f"greater called on t={t}")
-        return real(sets, n, t)
+        return real(sets, n, t, a, b)
 
     return step
 
@@ -288,10 +288,10 @@ def test_reducers_reject_each_others_cases(monkeypatch):
         calls.append((TraceSymbol.SMALLER, n, t, k))
         return real_run(n, k, t)
 
-    def greater(sets, n, t):
+    def greater(sets, n, t, a, b):
         case = TraceSymbol.GREATER_ODD if t % 2 else TraceSymbol.GREATER_EVEN
         calls.append((case, n, t, len(sets)))
-        return real_greater(sets, n, t)
+        return real_greater(sets, n, t, a, b)
 
     monkeypatch.setattr(solver, "smaller_run", run)
     monkeypatch.setattr(solver, "greater", greater)
@@ -414,8 +414,8 @@ def test_insertions_count_the_elements_placed(monkeypatch):
     assert solve_detailed(inst(7, 2, 14)).insertions == 7
     real = solver.meander_columns
 
-    def duplicating(low, high, k):
-        columns = list(real(low, high, k))
+    def duplicating(low, high, k, a, b):
+        columns = list(real(low, high, k, a, b))
         columns[0] += columns[0][-1:]
         return columns
 
@@ -445,8 +445,8 @@ def test_child_gate_names_the_child_its_parent_and_the_broken_rule(monkeypatch):
 def test_dropped_element_raises(monkeypatch):
     real = solver.greater
 
-    def forgetful(sets, n, t):
-        composed = real(sets, n, t)
+    def forgetful(sets, n, t, a, b):
+        composed = real(sets, n, t, a, b)
         composed[0] = composed[0][:1]  # the pair (t-n, n) loses n
         return composed
 
@@ -455,7 +455,7 @@ def test_dropped_element_raises(monkeypatch):
     with pytest.raises(InvariantError, match=re.escape(message)):
         solve(inst(9, 3, 15))
 
-    monkeypatch.setattr(solver, "greater", lambda sets, n, t: real(sets, n, t)[1:])
+    monkeypatch.setattr(solver, "greater", lambda *args: real(*args)[1:])
     message = "level (9, 3, 15) made (sets, elements) (2, 2), expected (3, 4)"
     with pytest.raises(InvariantError, match=re.escape(message)):
         solve(inst(9, 3, 15))

@@ -2,8 +2,8 @@
 
 The ten result and record types are ``typing.NamedTuple`` classes. These
 tests pin what callers may rely on: the field names, immutability,
-hashing, equality, the repr text, and that importing the CLI loads neither
-``dataclasses`` nor ``inspect``.
+hashing, equality, the repr text, and that importing the CLI loads none of
+``dataclasses``, ``inspect``, ``csv`` and ``json``.
 """
 
 import os
@@ -110,7 +110,7 @@ def test_verify_reads_a_partition_by_isinstance_not_as_two_sets():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    probe = "import sys, equipart.cli; print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = "import sys, equipart.cli; print(sorted({'csv', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
