@@ -26,10 +26,15 @@ its finished pairs, ge two child sets per set), then ``compose`` builds
 each level's tuples bottom-up from those, in the child's order, with one
 function per case: the meander's columns (``meander_even``/``meander_odd``
 by the parity of n for the whole base), the s-run's columns, or
-``greater``. A level places one range above all of its child's elements, so
-appending keeps every set ascending; it must return its window's sets with
-exactly the elements it places in them. ``solve_detailed`` is the window of
-all k sets; the CLI writes one window at a time.
+``greater``. A ge level whose child is ge or go takes the child's leading
+finished pairs (L+c, H-c), L = t'-n', H = n', in closed form: pair 0 joins
+t/2, and each later set (L+c, L+c+1, H-c-1, H-c) is one step of four
+stride-2 ranges, so the child's window starts past them and no sorted merge
+runs on them. A level places one range above all of its child's elements,
+so appending keeps every set ascending; it must return its window's sets
+with exactly the elements it places in them, the finished pairs its parent
+built counted as its own. ``solve_detailed`` is the window of all k sets;
+the CLI writes one window at a time.
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -55,6 +60,7 @@ from .trace import Trace, TraceSymbol
 Sets = Sequence[tuple[int, ...]]
 # the cases as module globals, which read faster than TraceSymbol's attributes
 _MEANDER, _SMALLER, _GREATER_EVEN, _GREATER_ODD = TraceSymbol
+_FINISHING = (_GREATER_EVEN, _GREATER_ODD)  # the cases that open with finished pairs
 
 
 class SolveResult(NamedTuple):
@@ -165,20 +171,40 @@ def meander_odd(instance: ProblemInstance) -> Partition:
     return tuple.__new__(Partition, (instance, tuple(meander_sets(n, k, 0, k))))
 
 
-def greater(sets: Sets, n: int, t: int, a: int, b: int) -> Sets:
+def greater(sets: Sets, n: int, t: int, a: int, b: int, pairs: int) -> Sets:
     """Case t < 2n, sets a..b-1: (2n-t+1)//2 pairs {t-n+(j-1), n-(j-1)} of sum t,
     (2n-t)/2 for t even; then the child's sets (t odd), or the next set with
     t/2 and the rest in twos (t even). ``sets`` are the child's sets that
-    ``child_window`` names for a..b-1."""
+    ``child_window`` names for a..b-1, less its first ``pairs`` (t even, a
+    child ge or go: its finished pairs, an odd count), which are built here in
+    closed form: child pair c is (L+c, H-c), L = t'-n', H = n', so pair 0
+    joins t/2 as (L, H, t/2) and pairs c, c+1 (c odd) join as
+    (L+c, L+c+1, H-c-1, H-c), four stride-2 ranges."""
     filled = (2 * n - t + 1) // 2
     last = b if b < filled else filled
     composed = list(zip(range(t - n + a, t - n + last), range(n - a, n - last, -1)))
     if t % 2:
         composed += sets
         return composed
+    half = t // 2
     pivot = 1 if a <= filled < b else 0
-    if pivot:
-        composed.append(sets[0] + (t // 2,))
+    if pairs:
+        low, high = n + 1 - half, t - n - 1  # the child's L = t/2 - n' and H = n'
+        if pivot:
+            composed.append((low, high, half))
+        first = 2 * (a - filled) - 1 if a > filled else 1
+        stop = 2 * (b - filled) - 1
+        if stop > pairs:
+            stop = pairs
+        composed += zip(
+            range(low + first, low + stop, 2),
+            range(low + first + 1, low + stop, 2),
+            range(high - first - 1, high - stop, -2),
+            range(high - first, high - stop, -2),
+        )
+        pivot = 0
+    elif pivot:
+        composed.append(sets[0] + (half,))
     composed += map(tuple, map(sorted, map(add, sets[pivot::2], sets[pivot + 1 :: 2])))
     return composed
 
@@ -197,8 +223,11 @@ def child_window(case: TraceSymbol, opening: ProblemInstance, a: int, b: int) ->
     return (2 * (a - filled) - 1 if a > filled else 0), 2 * (b - filled) - 1
 
 
-def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets, a: int, b: int) -> Sets:
-    """Sets a..b-1 of one level, built from the child's sets they take (none for the base)."""
+def compose(
+    case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets, a: int, b: int, pairs: int
+) -> Sets:
+    """Sets a..b-1 of one level, built from the child's sets they take (none for
+    the base); a ge level builds the child's first ``pairs`` sets itself."""
     n, k, t = opening
     if case is _MEANDER:
         if b - a < k:
@@ -207,30 +236,46 @@ def compose(case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Set
         return (meander_odd if n % 2 else meander_even)(opening).sets
     if case is _SMALLER:
         return list(map(add, sets, meander_columns(child_n + 1, n, k, a, b)))
-    return greater(sets, n, t, a, b)
+    return greater(sets, n, t, a, b, pairs)
 
 
 def compose_window(trace: Trace, a: int, b: int) -> tuple[Sets, int]:
     """Sets a..b-1 of the trace's instance and the elements they hold.
 
     Each level's window of sets is planned top-down by ``child_window``, then
-    composed bottom-up. Every level must return its window's sets, and a
-    level composed whole must place exactly its n - n' elements in them.
+    composed bottom-up. A ge level over a ge or go child builds the child's
+    leading finished pairs itself, so the child composes its window only from
+    ``start`` on. Every level must return its window's sets, and a level
+    composed whole must place exactly its n - n' elements in them, counting
+    the finished pairs its parent built.
     """
+    runs, openings = trace.runs, trace.openings
     levels = []
-    for (case, _), opening in zip(trace.runs, trace.openings):
-        levels.append((case, opening, a, b))
+    start = a
+    for i, (case, _) in enumerate(runs):
+        opening = openings[i]
+        pairs = 0
+        if case is _GREATER_EVEN and runs[i + 1][0] in _FINISHING:
+            child_n, _, child_t = openings[i + 1]
+            # the child's finished pairs, rounded down to odd: pair 0 joins t/2,
+            # the rest join two to a set
+            pairs = (2 * child_n - child_t + 1) // 2 - 1 | 1
+        levels.append((case, opening, a, start, b, pairs))
         if case is not _MEANDER:
-            a, b = child_window(case, opening, a, b)
+            a, b = child_window(case, opening, start, b)
+            start = a
+            if pairs > a:
+                start = pairs if pairs < b else b
     sets: Sets = []
     size = child_n = 0
-    for case, opening, a, b in reversed(levels):
-        sets = compose(case, opening, child_n, sets, a, b)
+    for case, opening, a, start, b, pairs in reversed(levels):
+        sets = compose(case, opening, child_n, sets, start, b, pairs)
         n, k, t = opening
-        placed = sum(map(len, sets)) - size
+        closed = start - a  # finished pairs of this level that its parent built
+        placed = sum(map(len, sets)) + 2 * closed - size
         # only a whole level has an element count to hold to
-        if len(sets) != b - a or (placed != n - child_n and b - a == k):
-            got, want = (len(sets), placed), (b - a, n - child_n if b - a == k else placed)
+        if len(sets) != b - start or (placed != n - child_n and b - a == k):
+            got, want = (len(sets) + closed, placed), (b - a, n - child_n if b - a == k else placed)
             raise InvariantError(
                 f"level ({n}, {k}, {t}) made (sets, elements) {got}, expected {want} in sets [{a}, {b})"
             )

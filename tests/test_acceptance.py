@@ -238,17 +238,31 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
         steps, child_n, child_k, child_t = real_smaller(*args)
         return steps, child_n, child_k, child_t + 1
 
-    def greater_even_pairing_shifted(sets, n, t, a, b):
+    def greater_even_pairing_shifted(sets, n, t, a, b, pairs):
         # t even: the pivot's set and the next one both take child set 0;
         # the last child set is left out
         if t % 2 == 0 and len(sets) >= 3:
             sets = sets[:1] + sets[:-1]
-        return real_greater(sets, n, t, a, b)
+        return real_greater(sets, n, t, a, b, pairs)
+
+    def greater_quadruples_shifted(sets, n, t, a, b, pairs):
+        # the sets built from the child's finished pairs c and c+1,
+        # (L+c, L+c+1, H-c-1, H-c), take pairs c+1 and c+2 instead: the same
+        # sums, but one child element twice and another never
+        composed = real_greater(sets, n, t, a, b, pairs)
+        low, high = n + 1 - t // 2, t - n - 1
+        return [
+            (s[0] + 1, s[1] + 1, s[2] - 1, s[3] - 1)
+            if pairs and len(s) == 4 and s[0] + s[3] == low + high and s[1] == s[0] + 1 and s[3] == s[2] + 1
+            else s
+            for s in composed
+        ]
 
     mutations = [
         ("meander line I off by one", "meander_columns", _meander_columns_line_one_off),
         ("s-run wrong child t'", "smaller_run", smaller_wrong_child_target),
         ("case-III child pairing shifted", "greater", greater_even_pairing_shifted),
+        ("case-III closed-form quadruples shifted", "greater", greater_quadruples_shifted),
     ]
     for title, attribute, mutant in mutations:
         with monkeypatch.context() as patch:
@@ -257,7 +271,7 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, capsys, tmp_path):
         if code != 3:
             problems.append(f"{title}: scan exited {code}, expected 3")
     capsys.readouterr()  # drop the mutated scans' violation listings
-    _conclude(9, "mutation sensitivity", problems, "3 seeded bugs all detected")
+    _conclude(9, "mutation sensitivity", problems, "4 seeded bugs all detected")
 
 
 def test_criterion_10_scale_one_million():

@@ -185,8 +185,8 @@ def test_solve_counts_the_elements_it_writes(capsys, monkeypatch):
 def test_every_level_returns_its_windows_sets(capsys, monkeypatch):
     real = solver.greater
 
-    def losing(sets, n, t, a, b):  # a window past the first loses its last set
-        composed = real(sets, n, t, a, b)
+    def losing(sets, n, t, a, b, pairs):  # a window past the first loses its last set
+        composed = real(sets, n, t, a, b, pairs)
         return composed[:-1] if a > 0 else composed
 
     monkeypatch.setattr(solver, "greater", losing)

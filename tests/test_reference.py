@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import reference_solver
 from equipart.core import enumerate_instances, validate_instance
-from equipart.solver import plan, solve_detailed
-from equipart.trace import TraceSymbol
+from equipart.solver import compose_window, plan, solve_detailed
+from equipart.trace import TraceSymbol, render_trace
 
 
 def assert_same_as_reference(n, k, t):
@@ -74,3 +74,43 @@ def test_same_as_reference_on_both_sides_of_the_column_branch(triple, case, exce
     low = trace.openings[first + 1].n + 1 if case == "s" else 1 - n % 2
     assert ((n - low + 1) // (2 * k) - k, low % 2) == (excess, parity)
     assert_same_as_reference(*triple)
+
+
+# A ge level over a ge or go child builds the child's leading finished pairs
+# in closed form: pair 0 with t/2, then pairs c and c+1 as one set. With an
+# even count the child's last pair is merged as before, with the child set
+# after it. Entries: (n, k, t), its trace, the child's finished pairs.
+CLOSED_FORM = [
+    ((15, 5, 24), "ge^2 m", 2),
+    ((32, 11, 48), "ge^3 m", 3),
+    ((20, 7, 30), "ge go m", 2),
+    ((39, 13, 60), "ge^2 go m", 5),
+    ((44, 15, 66), "ge go m", 5),  # an odd count from a go child
+]
+
+
+@pytest.mark.parametrize("triple,rendered,pairs", CLOSED_FORM)
+def test_same_as_reference_where_ge_builds_its_childs_pairs(triple, rendered, pairs):
+    instance = validate_instance(*triple)
+    trace = plan(instance)
+    child = trace.openings[1]
+    assert (render_trace(trace), (2 * child.n - child.t + 1) // 2) == (rendered, pairs)
+    assert_same_as_reference(*triple)
+    want = reference_solver.solve_detailed(instance).partition.sets
+    for width in (1, 2, 3):
+        for a in range(instance.k):
+            b = min(a + width, instance.k)
+            sets, size = compose_window(trace, a, b)
+            assert (list(sets), size) == (list(want[a:b]), sum(map(len, want[a:b]))), (triple, a, b)
+
+
+def test_window_ending_at_the_childs_last_finished_pair():
+    # (44, 15, 66): sets 0..10 are finished pairs, set 11 holds t/2 and the
+    # go child's pair 0, sets 12 and 13 its pairs 1, 2 and 3, 4, the last
+    # of its five; set 14 merges its sets 5 and 6
+    trace = plan(validate_instance(44, 15, 66))
+    want = reference_solver.solve_detailed(validate_instance(44, 15, 66)).partition.sets
+    assert want[11:14] == ((12, 21, 33), (13, 14, 19, 20), (15, 16, 17, 18))
+    for a in (11, 12, 13):
+        sets, size = compose_window(trace, a, 14)
+        assert (list(sets), size) == (list(want[a:14]), sum(map(len, want[a:14]))), a

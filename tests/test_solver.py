@@ -44,7 +44,7 @@ def first_level(n, k, t):
     """
     trace = plan(inst(n, k, t))
     (case, _), opening, child = trace.runs[0], trace.openings[0], trace.openings[1]
-    sets = compose(case, opening, child.n, [(-(i + 1),) for i in range(child.k)], 0, k)
+    sets = compose(case, opening, child.n, [(-(i + 1),) for i in range(child.k)], 0, k, 0)
     assert len(sets) == k
     elements = [x for members in sets for x in members if x > 0]
     placed = {x: j for j, members in enumerate(sets) for x in members if x > 0}
@@ -238,10 +238,10 @@ def _refusing_greater(parity):
     # greater composes ge (t even) and go (t odd); refuse only the one named
     real = solver.greater
 
-    def step(sets, n, t, a, b):
+    def step(sets, n, t, a, b, pairs):
         if t % 2 == parity:
             raise AssertionError(f"greater called on t={t}")
-        return real(sets, n, t, a, b)
+        return real(sets, n, t, a, b, pairs)
 
     return step
 
@@ -279,8 +279,10 @@ def test_reducers_reject_each_others_cases(monkeypatch):
     # smaller_run is handed exactly the instances opening an s-run, top-down
     # while planning; greater composes exactly the ge and go levels, each
     # with the parity of t its symbol names, bottom-up after the plan, over
-    # the sets of their child
+    # the sets of their child; a ge over a ge or go child builds the child's
+    # first `pairs` sets, its finished pairs rounded down to odd, itself
     calls = []
+    built = []
     real_run = solver.smaller_run
     real_greater = solver.greater
 
@@ -288,15 +290,24 @@ def test_reducers_reject_each_others_cases(monkeypatch):
         calls.append((TraceSymbol.SMALLER, n, t, k))
         return real_run(n, k, t)
 
-    def greater(sets, n, t, a, b):
+    def greater(sets, n, t, a, b, pairs):
         case = TraceSymbol.GREATER_ODD if t % 2 else TraceSymbol.GREATER_EVEN
-        calls.append((case, n, t, len(sets)))
-        return real_greater(sets, n, t, a, b)
+        calls.append((case, n, t, len(sets) + pairs))
+        built.append(pairs)
+        return real_greater(sets, n, t, a, b, pairs)
 
     monkeypatch.setattr(solver, "smaller_run", run)
     monkeypatch.setattr(solver, "greater", greater)
-    for triple in [(9, 3, 15), (15, 5, 24), (1337, 7, 127779), (9999, 4040, 12375)]:
+    cases = [
+        ((9, 3, 15), [0]),
+        ((15, 5, 24), [0, 1]),  # ge^2 m: the top ge builds the child's set 0, (4, 8)
+        ((1337, 7, 127779), [0]),
+        ((9999, 4040, 12375), [0, 0, 0, 0]),  # go s^4 go s^4 go s ge m
+        ((32, 11, 48), [0, 1, 3]),  # ge^3 m
+    ]
+    for triple, pairs in cases:
         calls.clear()
+        built.clear()
         _, trace = solve(inst(*triple))
         steps = list(zip(trace.symbols, trace.per_step, trace.per_step[1:]))
         openings = [
@@ -307,6 +318,7 @@ def test_reducers_reject_each_others_cases(monkeypatch):
         runs = [(case, s.n, s.t, s.k) for case, s, _ in openings if case is TraceSymbol.SMALLER]
         splits = [(case, s.n, s.t, c.k) for case, s, c in openings if case is not TraceSymbol.SMALLER]
         assert calls == runs + splits[::-1], triple
+        assert built == pairs, triple
         assert all(case_of(step) is case for case, step, _ in openings)
 
 
@@ -445,8 +457,8 @@ def test_child_gate_names_the_child_its_parent_and_the_broken_rule(monkeypatch):
 def test_dropped_element_raises(monkeypatch):
     real = solver.greater
 
-    def forgetful(sets, n, t, a, b):
-        composed = real(sets, n, t, a, b)
+    def forgetful(sets, n, t, a, b, pairs):
+        composed = real(sets, n, t, a, b, pairs)
         composed[0] = composed[0][:1]  # the pair (t-n, n) loses n
         return composed
 
@@ -459,3 +471,36 @@ def test_dropped_element_raises(monkeypatch):
     message = "level (9, 3, 15) made (sets, elements) (2, 2), expected (3, 4)"
     with pytest.raises(InvariantError, match=re.escape(message)):
         solve(inst(9, 3, 15))
+
+
+def test_closed_form_pairs_count_for_the_child_level(monkeypatch):
+    # ge^3 m: the top ge builds its child (15, 5, 24)'s finished pairs 0, 1
+    # and 2 as sets 8 and 9; the child composes only its sets 3 and 4 but is
+    # still checked whole, its three pairs counted as its own six elements
+    real = solver.greater
+
+    def one_quadruple_short(sets, n, t, a, b, pairs):
+        composed = real(sets, n, t, a, b, pairs)
+        if pairs > 1:
+            composed.remove((n + 2 - t // 2, n + 3 - t // 2, t - n - 3, t - n - 2))  # pairs 1 and 2
+        return composed
+
+    monkeypatch.setattr(solver, "greater", one_quadruple_short)
+    message = "level (32, 11, 48) made (sets, elements) (10, 13), expected (11, 17) in sets [0, 11)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        solve(inst(32, 11, 48))
+    trace = plan(inst(32, 11, 48))
+    message = "level (32, 11, 48) made (sets, elements) (1, -3), expected (2, -3) in sets [8, 10)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        solver.compose_window(trace, 8, 10)
+
+    def child_drops_an_element(sets, n, t, a, b, pairs):
+        composed = real(sets, n, t, a, b, pairs)
+        if n == 15 and composed:
+            composed[-1] = composed[-1][1:]
+        return composed
+
+    monkeypatch.setattr(solver, "greater", child_drops_an_element)
+    message = "level (15, 5, 24) made (sets, elements) (5, 6), expected (5, 7) in sets [0, 5)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        solve(inst(32, 11, 48))
