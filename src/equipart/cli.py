@@ -69,9 +69,9 @@ class _Encoder(dict):
         return template % values, len(values) - numbers
 
 
-def _write_solution(out: TextIO, trace: Trace, json_format: bool, window: int) -> None:
+def _write_solution(out: TextIO, trace: Trace, json_format: bool) -> None:
     """Compose and write the partition of the trace's instance one window of
-    about ``window`` elements at a time. The header follows the first window,
+    about ``_WINDOW`` elements at a time. The header follows the first window,
     so an instance too large to compose writes nothing."""
     n, k, t = trace.openings[0]
     trace_text = render_trace(trace)  # m s ge go ^, digits and spaces: nothing for JSON to escape
@@ -81,7 +81,7 @@ def _write_solution(out: TextIO, trace: Trace, json_format: bool, window: int) -
     else:
         head, between, end = f"n={n} k={k} t={t}\ntrace: {trace_text}\n", "", ""
     encode = _Encoder(json_format)
-    step = max(1, window * k // n)
+    step = max(1, _WINDOW * k // n)
     written = 0
     for a in range(0, k, step):
         sets, _ = compose_window(trace, a, min(a + step, k))
@@ -108,7 +108,7 @@ def _instance(args: argparse.Namespace) -> ProblemInstance:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _write_solution(sys.stdout, plan(_instance(args)), args.format == "json", _WINDOW)
+    _write_solution(sys.stdout, plan(_instance(args)), args.format == "json")
     return EXIT_OK
 
 

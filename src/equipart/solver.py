@@ -20,21 +20,21 @@ every level's child against the input contract. A maximal run of ``s``
 steps is one level, computed in closed form, not walked: it cannot end in
 the meander case (n - 2k = n mod 2k). The plan is the trace: one run per
 level, with the instance opening it. ``compose_window`` builds any window
-of sets [a, b) from it: ``child_window`` maps the window down the plan to
-the child sets each level takes (an s-run the same sets, go the sets past
-its finished pairs, ge two child sets per set), then ``compose`` builds
-each level's tuples bottom-up from those, in the child's order, with one
-function per case: the meander's columns (``meander_even``/``meander_odd``
-by the parity of n for the whole base), the s-run's columns, or
-``greater``. A ge level whose child is ge or go takes the child's leading
-finished pairs (L+c, H-c), L = t'-n', H = n', in closed form: pair 0 joins
-t/2, and each later set (L+c, L+c+1, H-c-1, H-c) is one step of four
-stride-2 ranges, so the child's window starts past them and no sorted merge
-runs on them. A level places one range above all of its child's elements,
-so appending keeps every set ascending; it must return its window's sets
-with exactly the elements it places in them, the finished pairs its parent
-built counted as its own. ``solve_detailed`` is the window of all k sets;
-the CLI writes one window at a time.
+of sets [a, b) from it in two passes. Top-down, it maps the window down the
+plan to the child sets each level takes (an s-run the same sets, go the
+sets past its finished pairs, ge two child sets per set). Bottom-up, it
+builds each level's tuples from those, in the child's order, by the level's
+case: the meander's columns (``meander_even``/``meander_odd`` by the parity
+of n for the whole base), the s-run's columns, or ``greater``. A ge level
+whose child is ge or go takes the child's leading finished pairs (L+c, H-c),
+L = t'-n', H = n', in closed form: pair 0 joins t/2, and each later set
+(L+c, L+c+1, H-c-1, H-c) is one step of four stride-2 ranges, so the
+child's window starts past them and no sorted merge runs on them. A level
+places one range above all of its child's elements, so appending keeps
+every set ascending; it must return its window's sets with exactly the
+elements it places in them, the finished pairs its parent built counted as
+its own. ``solve_detailed`` is the window of all k sets; the CLI writes one
+window at a time.
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -175,11 +175,11 @@ def greater(sets: Sets, n: int, t: int, a: int, b: int, pairs: int) -> Sets:
     """Case t < 2n, sets a..b-1: (2n-t+1)//2 pairs {t-n+(j-1), n-(j-1)} of sum t,
     (2n-t)/2 for t even; then the child's sets (t odd), or the next set with
     t/2 and the rest in twos (t even). ``sets`` are the child's sets that
-    ``child_window`` names for a..b-1, less its first ``pairs`` (t even, a
-    child ge or go: its finished pairs, an odd count), which are built here in
-    closed form: child pair c is (L+c, H-c), L = t'-n', H = n', so pair 0
-    joins t/2 as (L, H, t/2) and pairs c, c+1 (c odd) join as
-    (L+c, L+c+1, H-c-1, H-c), four stride-2 ranges."""
+    sets a..b-1 take, less its first ``pairs`` (t even, a child ge or go: its
+    finished pairs, an odd count), which are built here in closed form: child
+    pair c is (L+c, H-c), L = t'-n', H = n', so pair 0 joins t/2 as
+    (L, H, t/2) and pairs c, c+1 (c odd) join as (L+c, L+c+1, H-c-1, H-c),
+    four stride-2 ranges."""
     filled = (2 * n - t + 1) // 2
     last = b if b < filled else filled
     composed = list(zip(range(t - n + a, t - n + last), range(n - a, n - last, -1)))
@@ -209,42 +209,13 @@ def greater(sets: Sets, n: int, t: int, a: int, b: int, pairs: int) -> Sets:
     return composed
 
 
-def child_window(case: TraceSymbol, opening: ProblemInstance, a: int, b: int) -> tuple[int, int]:
-    """The child's sets [a', b') that a level's sets [a, b) are composed from."""
-    if case is _SMALLER:
-        return a, b
-    n, _, t = opening
-    filled = (2 * n - t + 1) // 2
-    if case is _GREATER_ODD:
-        return (a - filled if a > filled else 0), (b - filled if b > filled else 0)
-    if b <= filled:  # finished pairs alone
-        return 0, 0
-    # child set 0 joins t/2 in set `filled`, two child sets join in each later set
-    return (2 * (a - filled) - 1 if a > filled else 0), 2 * (b - filled) - 1
-
-
-def compose(
-    case: TraceSymbol, opening: ProblemInstance, child_n: int, sets: Sets, a: int, b: int, pairs: int
-) -> Sets:
-    """Sets a..b-1 of one level, built from the child's sets they take (none for
-    the base); a ge level builds the child's first ``pairs`` sets itself."""
-    n, k, t = opening
-    if case is _MEANDER:
-        if b - a < k:
-            return meander_sets(n, k, a, b)
-        # 2k is even: it divides n when n is even and n + 1 when n is odd
-        return (meander_odd if n % 2 else meander_even)(opening).sets
-    if case is _SMALLER:
-        return list(map(add, sets, meander_columns(child_n + 1, n, k, a, b)))
-    return greater(sets, n, t, a, b, pairs)
-
-
 def compose_window(trace: Trace, a: int, b: int) -> tuple[Sets, int]:
     """Sets a..b-1 of the trace's instance and the elements they hold.
 
-    Each level's window of sets is planned top-down by ``child_window``, then
-    composed bottom-up. A ge level over a ge or go child builds the child's
-    leading finished pairs itself, so the child composes its window only from
+    Top-down, each level's sets [start, b) name the child's sets [a', b')
+    they take; bottom-up, each level composes its sets from those by its
+    case. A ge level over a ge or go child builds the child's leading
+    finished pairs itself, so the child composes its window only from
     ``start`` on. Every level must return its window's sets, and a level
     composed whole must place exactly its n - n' elements in them, counting
     the finished pairs its parent built.
@@ -253,7 +224,8 @@ def compose_window(trace: Trace, a: int, b: int) -> tuple[Sets, int]:
     levels = []
     start = a
     for i, (case, _) in enumerate(runs):
-        opening = openings[i]
+        n, _, t = opening = openings[i]
+        filled = (2 * n - t + 1) // 2
         pairs = 0
         if case is _GREATER_EVEN and runs[i + 1][0] in _FINISHING:
             child_n, _, child_t = openings[i + 1]
@@ -261,16 +233,31 @@ def compose_window(trace: Trace, a: int, b: int) -> tuple[Sets, int]:
             # the rest join two to a set
             pairs = (2 * child_n - child_t + 1) // 2 - 1 | 1
         levels.append((case, opening, a, start, b, pairs))
-        if case is not _MEANDER:
-            a, b = child_window(case, opening, start, b)
-            start = a
-            if pairs > a:
-                start = pairs if pairs < b else b
+        # the child sets [a, b) that sets [start, b) take: an s-run the same
+        # ones (start is a, as only a ge or go level has pairs built above it),
+        # go those past its finished pairs, ge child set 0 with t/2 in set
+        # `filled` and two in each later set; the child starts past `pairs`
+        if case is _GREATER_ODD:
+            a, b = (start - filled if start > filled else 0), (b - filled if b > filled else 0)
+        elif case is _GREATER_EVEN:
+            a = 2 * (start - filled) - 1 if start > filled else 0
+            b = 2 * (b - filled) - 1 if b > filled else 0
+        start = a
+        if pairs > a:
+            start = pairs if pairs < b else b
     sets: Sets = []
     size = child_n = 0
     for case, opening, a, start, b, pairs in reversed(levels):
-        sets = compose(case, opening, child_n, sets, start, b, pairs)
         n, k, t = opening
+        if case is _SMALLER:
+            sets = list(map(add, sets, meander_columns(child_n + 1, n, k, start, b)))
+        elif case is not _MEANDER:
+            sets = greater(sets, n, t, start, b, pairs)
+        elif b - start < k:
+            sets = meander_sets(n, k, start, b)
+        else:
+            # 2k is even: it divides n when n is even and n + 1 when n is odd
+            sets = (meander_odd if n % 2 else meander_even)(opening).sets
         closed = start - a  # finished pairs of this level that its parent built
         placed = sum(map(len, sets)) + 2 * closed - size
         # only a whole level has an element count to hold to

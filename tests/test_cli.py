@@ -154,15 +154,16 @@ def _eager_rendering(instance, json_format):
 
 
 @pytest.mark.parametrize("window", [1, 3, 17, cli._WINDOW])
-def test_windowed_solve_writes_the_eager_partition(window):
+def test_windowed_solve_writes_the_eager_partition(monkeypatch, window):
     # every instance with n <= 400, composed and written a window of about
     # `window` elements at a time, against the eager solve rendered whole
+    monkeypatch.setattr(cli, "_WINDOW", window)
     for n in range(1, 401):
         for k, t in enumerate_instances(n):
             instance = validate_instance(n, k, t)
             for json_format in (True, False):
                 out = io.StringIO()
-                cli._write_solution(out, plan(instance), json_format, window)
+                cli._write_solution(out, plan(instance), json_format)
                 assert out.getvalue() == _eager_rendering(instance, json_format), (n, k, json_format)
 
 

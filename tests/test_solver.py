@@ -15,7 +15,7 @@ from equipart.core import (
 )
 from equipart.scan import scan_instance
 from equipart.solver import (
-    compose,
+    compose_window,
     plan,
     smaller_run,
     solve,
@@ -36,20 +36,24 @@ def case_of(instance):
 def first_level(n, k, t):
     """The first level of the plan of (n, k, t) and what its composition places.
 
-    The level is composed over marker child sets, child set i being
-    (-(i + 1),), so its sets hold only its own elements and the markers.
-    Returns the placed elements as {element: set}, the child sets each set
-    took as {set: [child sets]}, the level, its child instance and the
-    instances of its steps.
+    The level and its child are each composed whole through
+    ``compose_window``; the elements above the child's n are the level's own,
+    and every child set must lie whole in one of the level's sets. Returns the
+    placed elements as {element: set}, the child sets each set took as
+    {set: [child sets]}, the level, its child instance and the instances of
+    its steps.
     """
     trace = plan(inst(n, k, t))
     (case, _), opening, child = trace.runs[0], trace.openings[0], trace.openings[1]
-    sets = compose(case, opening, child.n, [(-(i + 1),) for i in range(child.k)], 0, k, 0)
+    sets, _ = compose_window(trace, 0, k)
     assert len(sets) == k
-    elements = [x for members in sets for x in members if x > 0]
-    placed = {x: j for j, members in enumerate(sets) for x in members if x > 0}
-    assert len(placed) == len(elements)  # no element placed twice
-    took = {j: sorted(-x - 1 for x in members if x < 0) for j, members in enumerate(sets)}
+    holder = {x: j for j, members in enumerate(sets) for x in members}
+    assert len(holder) == sum(map(len, sets))  # no element placed twice
+    placed = {x: j for x, j in holder.items() if x > child.n}
+    took = {j: [] for j in range(k)}
+    for i, members in enumerate(compose_window(plan(child), 0, child.k)[0]):
+        (j,) = {holder[x] for x in members}  # the child set lies whole in set j
+        took[j].append(i)
     steps = [step.n for step in trace.per_step].index(child.n)
     level = (case, opening.n, opening.k, opening.t, child.n)
     return placed, took, level, child, list(trace.per_step[:steps])
