@@ -16,7 +16,7 @@ import sys
 from contextlib import nullcontext
 from itertools import chain, count
 from operator import add
-from typing import Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .core import (
     InstanceError,
@@ -25,6 +25,7 @@ from .core import (
     SumMismatchError,
     WrongArityError,
     triangular,
+    table_accepts,
     validate_instance,
     verify_partition,
     enumerate_instances,
@@ -41,6 +42,10 @@ EXIT_INVARIANT = 3
 
 # the elements composed and written at a time: a window holds about this many, or one set
 _WINDOW = 1 << 14
+# the bytes verify reads at a time from a file in the layout solve writes
+_READ = 1 << 16
+# that layout up to its sets: positive n, k and t, then an optional trace
+_HEAD = rb'\{"n": ([1-9]\d*), "k": ([1-9]\d*), "t": ([1-9]\d*)(?:, "trace": "[a-z0-9 ^]*")?, "sets": \['
 
 
 class _Encoder(dict):
@@ -135,33 +140,99 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _set_run(run: bytes, loads: Callable[[bytes], Any]) -> list:
+    """A run of whole sets, ``[1, 2], [3]``, as lists of ints proven from its
+    bytes: digits, ``-``, ``[``, ``]``, ``,`` and space spell only integers
+    and lists, and one ``[`` per set leaves no list inside a set (an integer
+    in place of a set has no length: TypeError in ``table_accepts``)."""
+    if run.translate(None, b"0123456789-[], "):
+        raise ValueError("not a run of integer sets")
+    sets = loads(b"[" + run + b"]")
+    if run.count(b"[") != len(sets):
+        raise ValueError("not a run of integer sets")
+    return sets
+
+
+def _set_runs(pieces: Iterator[bytes], loads: Callable[[bytes], Any]) -> Iterator[list]:
+    """The sets that follow ``"sets": [`` in the pieces of a file, a run per
+    piece that holds a ``], [``, cut at its last one. ValueError unless the
+    sets close the file with ``]}`` and whitespace."""
+    pending: list[bytes] = []
+    for piece in pieces:
+        cut = piece.rfind(b"], [")
+        if cut < 0:
+            pending.append(piece)
+            continue
+        pending.append(piece[: cut + 1])
+        yield _set_run(b"".join(pending), loads)
+        pending = [piece[cut + 3 :]]
+    tail = b"".join(pending).rstrip(b" \t\n\r")
+    if not tail.endswith(b"]}"):
+        raise ValueError("the sets do not close the file")
+    yield _set_run(tail[:-2], loads)
+
+
+def _streamed_instance(path: str) -> ProblemInstance | None:
+    """The instance of a file in the layout ``solve --format json`` writes, if
+    its sets are a partition of it, read ``_READ`` bytes at a time; None, or
+    an exception, for any other file."""
+    import json
+    import re
+
+    if not os.path.isfile(path):  # a pipe read here could not be read again
+        return None
+    with open(path, "rb") as handle:
+        pieces = iter(lambda: handle.read(_READ), b"")
+        head = bytearray()
+        for piece in pieces:  # up to the first "[", which opens the sets
+            head += piece
+            bracket = head.find(b"[", len(head) - len(piece))
+            if bracket >= 0:
+                break
+        else:
+            return None
+        match = re.fullmatch(_HEAD, bytes(head[: bracket + 1]))
+        if match is None:
+            return None
+        instance = validate_instance(*map(int, match.groups()))
+        if os.fstat(handle.fileno()).st_size < instance.n:
+            return None  # each element takes a digit: a header alone sizes no table
+        runs = _set_runs(chain((bytes(head[bracket + 1 :]),), pieces), json.loads)
+        return instance if table_accepts(instance, runs) else None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json  # only verify reads JSON: off the import path of every other command
 
     try:
-        with open(args.path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            raise TypeError("top-level JSON value must be an object")
-        n, k, t, sets = payload["n"], payload["k"], payload["t"], payload["sets"]
-        if not isinstance(sets, list) or not set(map(type, sets)) <= {list}:
-            raise TypeError('"sets" must be a list of lists')
-        instance = validate_instance(n, k, t)  # TypeError on a non-int n, k or t
-        report = verify_partition(instance, sets)  # TypeError on a non-int element
-    except WrongArityError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except InstanceError:
-        raise  # main reports an invalid instance as "error: ..."
-    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
-        # ValueError: not UTF-8, not JSON, or an integer too long to convert
-        print(f"malformed partition file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if report.ok:
-        print(f"ok: valid partition of 1..{n} into {k} sets of sum {t}")
-        return EXIT_OK
-    print(f"verification failed: {report.first_violation}", file=sys.stderr)
-    return EXIT_VERIFY_FAILED
+        instance = _streamed_instance(args.path)
+    except (OSError, ValueError, TypeError, RecursionError, MemoryError):
+        instance = None  # any file the stream does not accept is read whole, for its verdict
+    if instance is None:
+        with open(args.path, encoding="utf-8") as handle:  # main reports a path it cannot open
+            try:
+                payload = json.load(handle)
+                if not isinstance(payload, dict):
+                    raise TypeError("top-level JSON value must be an object")
+                n, k, t, sets = payload["n"], payload["k"], payload["t"], payload["sets"]
+                if not isinstance(sets, list) or not set(map(type, sets)) <= {list}:
+                    raise TypeError('"sets" must be a list of lists')
+                instance = validate_instance(n, k, t)  # TypeError on a non-int n, k or t
+                report = verify_partition(instance, sets)  # TypeError on a non-int element
+            except WrongArityError as exc:
+                print(f"verification failed: {exc}", file=sys.stderr)
+                return EXIT_VERIFY_FAILED
+            except InstanceError:
+                raise  # main reports an invalid instance as "error: ..."
+            except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+                # ValueError: not UTF-8, not JSON, or an integer too long to convert
+                print(f"malformed partition file: {exc}", file=sys.stderr)
+                return EXIT_INVALID
+        if not report.ok:
+            print(f"verification failed: {report.first_violation}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
+    print(f"ok: valid partition of 1..{instance.n} into {instance.k} sets of sum {instance.t}")
+    return EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

@@ -162,6 +162,39 @@ def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationRepo
     return VerificationReport(disjoint, covers, sums_ok, first)
 
 
+def table_accepts(instance: ProblemInstance, runs: Iterable[Sequence[Sequence[int]]]) -> bool:
+    """The acceptance rule of :func:`verify_partition`, for sets read in runs:
+    the runs hold ``k`` sets and ``n`` elements in all, every set sums to
+    ``t``, ``k * t = n(n+1)/2``, and the elements mark every cell ``1..n`` of
+    a table of ``n + 1`` bytes. The caller bounds that table by what it
+    holds or reads. False for any other sets; an element that is not an
+    ``int`` may raise TypeError instead.
+    """
+    n, k, t = instance
+    if k * t != instance.total:
+        return False
+    # n elements that mark all n cells 1..n are pairwise distinct, so each
+    # sits in its own cell. An element above n, or below -(n + 1), raises
+    # IndexError; one in -(n + 1)..-1 marks cell x + n + 1, so m such
+    # elements would leave the total m * (n + 1) short of n(n+1)/2, which
+    # the sums (k sets of t, and k * t = n(n+1)/2) exclude. So the
+    # elements are exactly 1..n.
+    seen = bytearray(n + 1)
+    sets_read = elements = 0
+    try:
+        for sets in runs:
+            sets_read += len(sets)
+            elements += sum(map(len, sets))
+            if not set(map(sum, sets)) <= {t}:
+                return False
+            for members in sets:
+                for x in members:
+                    seen[x] = 1
+    except IndexError:
+        return False
+    return sets_read == k and elements == n and seen.find(0, 1) == -1
+
+
 def verify_partition(
     instance: ProblemInstance, candidate: Partition | Sequence[Sequence[int]]
 ) -> VerificationReport:
@@ -186,24 +219,8 @@ def verify_partition(
     if len(sets) != instance.k:
         raise WrongArityError(f"expected {instance.k} subsets, got {len(sets)}")
     n, t = instance.n, instance.t
-    if instance.k * t == instance.total and sum(map(len, sets)) == n and set(map(sum, sets)) <= {t}:
-        # n elements that mark all n cells 1..n are pairwise distinct, so each
-        # sits in its own cell. An element above n, or below -(n + 1), raises
-        # IndexError; one in -(n + 1)..-1 marks cell x + n + 1, so m such
-        # elements would leave the total m * (n + 1) short of n(n+1)/2, which
-        # the sums (k sets of t, and k * t = n(n+1)/2) exclude. So the
-        # elements are exactly 1..n.
-        seen = bytearray(n + 1)
-        try:
-            for members in sets:
-                for x in members:
-                    seen[x] = 1
-        except IndexError:
-            pass
-        else:
-            if seen.find(0, 1) == -1:
-                return VerificationReport(True, True, True, None)
-        del seen  # _diagnose marks a fresh table; do not hold two
+    if sum(map(len, sets)) == n and table_accepts(instance, (sets,)):
+        return VerificationReport(True, True, True, None)
     return _diagnose(n, t, sets)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -389,6 +390,52 @@ def test_verify_memory_follows_the_file_not_its_claimed_n(tmp_path):
     assert f"verification failed: set 1: sum 3 != {triangular(N_MAX)}" in done.stderr
 
 
+def test_verify_sizes_no_table_by_a_header_alone(capsys, tmp_path, monkeypatch):
+    # a file in solve's layout claiming n = 10^9 over 300 elements: the
+    # streamed path sizes no table of 10^9 bytes by its header, and the
+    # file read whole gets the verdict it always got
+    n = 10**9
+    path = tmp_path / "candidate.json"
+    path.write_text(
+        f'{{"n": {n}, "k": 1, "t": {triangular(n)}, "trace": "m", "sets": [{list(range(1, 301))}]}}\n'
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "equipart", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"verification failed: set 1: sum 45150 != {triangular(n)}\n"
+    tables = []
+    monkeypatch.setattr(cli, "table_accepts", lambda *args: tables.append(args))
+    assert run_cli(capsys, "verify", str(path))[::2] == (2, done.stderr)
+    assert tables == []
+
+
+def test_verify_streams_a_solve_file_in_a_fraction_of_the_memory(tmp_path):
+    # (2*10^5, 10^5) as solve writes it, and a compact copy, read whole
+    import tracemalloc
+
+    path = tmp_path / "solve.json"
+    with open(path, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+        assert main(["solve", "--n", "200000", "--k", "100000", "--format", "json"]) == 0
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
+    peaks = []
+    for candidate in (path, compact):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["verify", str(candidate)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue() == "ok: valid partition of 1..200000 into 100000 sets of sum 200001\n"
+    assert peaks[0] < peaks[1] / 4, peaks
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -403,6 +450,15 @@ def test_verify_rejects_undecodable_file(capsys, tmp_path, content):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert err.startswith("malformed partition file: ") and not out
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_verify_of_a_path_that_cannot_be_opened_is_an_error(capsys, tmp_path, where):
+    path = tmp_path / "absent.json" if where == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    errno = "[Errno 2] No such file or directory" if where == "missing" else "[Errno 21] Is a directory"
+    assert err == f"error: {errno}: {str(path)!r}\n"
 
 
 def test_verify_rejects_invalid_instance(capsys, tmp_path):
