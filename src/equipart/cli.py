@@ -1,10 +1,11 @@
 """Command-line interface.
 
 ``main`` maps every outcome, argparse's included, to an exit code: 0 success or
-``--help``, 1 invalid input (a usage error, an instance too large for memory) or
-an output path or stdout that cannot be written, 2 verification failure, 3
-internal invariant violation (including scan violations). ``run``, the process
-entry, alone touches process state: the cyclic collector and stdout's descriptor.
+``--help``, 1 invalid input (a usage error), a command out of memory (a huge
+file that verify reads whole, say) or an output path or stdout that cannot be
+written, 2 verification failure, 3 internal invariant violation (including scan
+violations). ``run``, the process entry, alone touches process state: the
+cyclic collector and stdout's descriptor.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
 )
 from .oracle import DEFAULT_CAP, brute_force_partition
 from .scan import run_scan, write_csv
-from .solver import Sets, compose_window, plan
+from .solver import Sets, column_blocks, column_chunk, compose_window, plan
 from .trace import Trace, render_trace
 
 EXIT_OK = 0
@@ -59,6 +60,7 @@ class _Encoder(dict):
         self.head, self.sep, self.tail, self.between = (
             ("set %d: ", " ", "\n", "") if self.numbered else ("[", ", ", "]", ", ")
         )
+        self.chunks: dict[int, str] = {}  # the templates of parts of a set: no head, no tail
 
     def __missing__(self, size: int) -> str:
         template = self[size] = self.head + self.sep.join(["%d"] * size) + self.tail
@@ -73,11 +75,19 @@ class _Encoder(dict):
         values = tuple(chain.from_iterable(sets))
         return template % values, len(values) - numbers
 
+    def chunk(self, values: Sequence[int]) -> str:
+        """Part of one set: its values, joined by the separator."""
+        size = len(values)
+        template = self.chunks.get(size) or self.chunks.setdefault(size, self.sep.join(["%d"] * size))
+        return template % values
+
 
 def _write_solution(out: TextIO, trace: Trace, json_format: bool) -> None:
     """Compose and write the partition of the trace's instance one window of
-    about ``_WINDOW`` elements at a time. The header follows the first window,
-    so an instance too large to compose writes nothing."""
+    about ``_WINDOW`` elements at a time: whole sets, or, where a column of an
+    s-run or meander top exceeds a window, one set at a time, its child's part
+    and then its column in chunks of blocks. The header follows the first
+    window, so an instance too large to compose writes nothing."""
     n, k, t = trace.openings[0]
     trace_text = render_trace(trace)  # m s ge go ^, digits and spaces: nothing for JSON to escape
     if json_format:
@@ -86,15 +96,34 @@ def _write_solution(out: TextIO, trace: Trace, json_format: bool) -> None:
     else:
         head, between, end = f"n={n} k={k} t={t}\ntrace: {trace_text}\n", "", ""
     encode = _Encoder(json_format)
-    step = max(1, _WINDOW * k // n)
     written = 0
-    for a in range(0, k, step):
-        sets, _ = compose_window(trace, a, min(a + step, k))
-        text, elements = encode(sets, a + 1)
-        out.write(head)
-        out.write(text)
-        head = between
-        written += elements
+    blocks = column_blocks(trace)
+    if 2 * blocks > _WINDOW:  # a column takes two values of each block
+        # an s-run top has a child, whose set j opens set j; a meander top has none
+        child = Trace(trace.runs[1:], trace.openings[1:]) if len(trace.runs) > 1 else None
+        per = max(1, _WINDOW // 2)
+        for j in range(k):
+            values = compose_window(child, j, j + 1)[0][0] if child else ()
+            opening = encode.head % (j + 1) if encode.numbered else encode.head
+            for p in range(0, blocks, per):
+                values += column_chunk(trace, j, p, min(p + per, blocks))
+                text = encode.chunk(values)
+                out.write(head + opening)
+                out.write(text)
+                head, opening = "", encode.sep
+                written += len(values)
+                values = ()
+            out.write(encode.tail)
+            head = between
+    else:
+        step = max(1, _WINDOW * k // n)
+        for a in range(0, k, step):
+            sets, _ = compose_window(trace, a, min(a + step, k))
+            text, elements = encode(sets, a + 1)
+            out.write(head)
+            out.write(text)
+            head = between
+            written += elements
     if written != n:
         raise InvariantError(f"wrote {written} elements of the partition of 1..{n}")
     out.write(end)

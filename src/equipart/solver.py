@@ -34,7 +34,8 @@ places one range above all of its child's elements, so appending keeps
 every set ascending; it must return its window's sets with exactly the
 elements it places in them, the finished pairs its parent built counted as
 its own. ``solve_detailed`` is the window of all k sets; the CLI writes one
-window at a time.
+window at a time, and a set of an s-run or meander top that exceeds a window
+as the child's set and its column in chunks of blocks (``column_chunk``).
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -152,6 +153,22 @@ def meander_sets(n: int, k: int, a: int, b: int) -> list[tuple[int, ...]]:
     if n % 2 and a == 0 < b:
         sets[0] = sets[0][1:]  # the bookkeeping 0
     return sets
+
+
+def column_blocks(trace: Trace) -> int:
+    """The blocks of 2k values each column of the trace's top level spans: an
+    s-run's steps, a meander's n/2k or (n+1)/2k; none for ge or go."""
+    (case, steps), (n, k, _) = trace.runs[0], trace.openings[0]
+    return steps if case is _SMALLER else (n + 1) // (2 * k) if case is _MEANDER else 0
+
+
+def column_chunk(trace: Trace, j: int, p: int, q: int) -> tuple[int, ...]:
+    """Column j of the trace's top level, an s-run or a meander, over its
+    blocks p..q-1 of 2k values: ascending, less the odd meander's 0."""
+    (case, _), (n, k, _) = trace.runs[0], trace.openings[0]
+    low = trace.openings[1].n + 1 if case is _SMALLER else 1 - n % 2
+    [column] = meander_columns(low + 2 * k * p, low + 2 * k * q - 1, k, j, j + 1)
+    return column if column[0] else column[1:]
 
 
 def meander_even(instance: ProblemInstance) -> Partition:

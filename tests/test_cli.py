@@ -154,10 +154,12 @@ def _eager_rendering(instance, json_format):
     return f"n={n} k={k} t={t}\ntrace: {render_trace(trace)}\n" + _rows(partition.sets)
 
 
-@pytest.mark.parametrize("window", [1, 3, 17, cli._WINDOW])
+@pytest.mark.parametrize("window", [1, 2, 3, 17, cli._WINDOW])
 def test_windowed_solve_writes_the_eager_partition(monkeypatch, window):
     # every instance with n <= 400, composed and written a window of about
-    # `window` elements at a time, against the eager solve rendered whole
+    # `window` elements at a time, against the eager solve rendered whole; a
+    # set of an s or m top larger than the window is written in chunks of
+    # window // 2 blocks (one block at windows 1, 2 and 3)
     monkeypatch.setattr(cli, "_WINDOW", window)
     for n in range(1, 401):
         for k, t in enumerate_instances(n):
@@ -166,6 +168,18 @@ def test_windowed_solve_writes_the_eager_partition(monkeypatch, window):
                 out = io.StringIO()
                 cli._write_solution(out, plan(instance), json_format)
                 assert out.getvalue() == _eager_rendering(instance, json_format), (n, k, json_format)
+
+
+@pytest.mark.parametrize("n,k,trace", [(99999, 3, "s^16665 go m"), (65536, 2, "m"), (65535, 2, "m")])
+def test_sets_larger_than_the_window_are_written_in_chunks_of_the_eager_partition(n, k, trace):
+    # an s top, an even and an odd m top, each set more than a window: the
+    # top column in chunks, after the child's part of the set
+    instance = validate_instance(n, k, triangular(n) // k)
+    assert render_trace(plan(instance)) == trace and n // k > cli._WINDOW
+    for json_format in (True, False):
+        out = io.StringIO()
+        cli._write_solution(out, plan(instance), json_format)
+        assert out.getvalue() == _eager_rendering(instance, json_format), json_format
 
 
 def test_solve_counts_the_elements_it_writes(capsys, monkeypatch):
@@ -216,18 +230,21 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 @pytest.mark.parametrize("form", ["json", "text"])
 def test_solve_memory_follows_the_window_not_n(form):
     # all 10^6 elements at once peaked at 83 MB; one window at a time is the
-    # interpreter and about 2^14 elements
-    done = subprocess.run(
-        [sys.executable, "-c", _SPAWN_AND_REPORT_RSS, "solve", "--n", "1000000", "--k", "500000"]
-        + ["--format", form],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss = map(int, done.stdout.split())
-    rss_mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    assert code == 0
-    assert rss_mb < 40, f"peak RSS {rss_mb:.1f} MB"
+    # interpreter and about 2^14 elements. A window of whole sets held each
+    # set of 333,333 elements of (999999, 3) (50 MB) and of 200,000 of
+    # (999999, 5) (36 MB); chunks of their columns peak near 16 MB
+    for n, k, bound in ((1000000, 500000, 40), (999999, 3, 25), (999999, 5, 25)):
+        done = subprocess.run(
+            [sys.executable, "-c", _SPAWN_AND_REPORT_RSS, "solve", "--n", str(n), "--k", str(k)]
+            + ["--format", form],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        code, maxrss = map(int, done.stdout.split())
+        rss_mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        assert code == 0
+        assert rss_mb < bound, f"({n}, {k}) peak RSS {rss_mb:.1f} MB"
 
 
 def test_oracle_text_is_the_row_rendering(capsys):
@@ -281,20 +298,53 @@ def _limit_address_space(limit=1 << 30):
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-@pytest.mark.parametrize("command", ["solve", "trace"])
-def test_instance_too_large_for_memory_exits_1_without_traceback(command):
+def test_trace_of_an_instance_too_large_for_memory_plans_it():
     done = subprocess.run(
-        [sys.executable, "-m", "equipart", command, "--n", "1000000000", "--k", "1"],
+        [sys.executable, "-m", "equipart", "trace", "--n", "1000000000", "--k", "1"],
         capture_output=True,
         text=True,
         preexec_fn=_limit_address_space,
     )
-    assert "Traceback" not in done.stderr
-    if command == "trace":  # only the plan: no sets, nothing per element
-        assert (done.returncode, done.stdout) == (0, "m\n")
-    else:  # the first window is composed before the header is written
-        assert (done.returncode, done.stdout) == (1, "")
-        assert "error: not enough memory" in done.stderr
+    # only the plan: no sets, nothing per element
+    assert (done.returncode, done.stdout, done.stderr) == (0, "m\n", "")
+
+
+def test_solve_of_a_set_too_large_for_memory_streams_it_until_the_reader_leaves():
+    # the one set of 10^9 elements (8 GB as tuples) is written in chunks of its
+    # column under 1 GiB; a reader that closes the pipe ends it with exit 1
+    with subprocess.Popen(
+        [sys.executable, "-m", "equipart", "solve", "--n", "1000000000", "--k", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=_limit_address_space,
+    ) as child:
+        try:
+            head = child.stdout.read(1 << 20)
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()  # a no-op once it has exited
+    want = "n=1000000000 k=1 t=500000000500000000\ntrace: m\nset 1: " + " ".join(map(str, range(1, 200000)))
+    assert len(head) == 1 << 20 and head == want.encode()[: 1 << 20]
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "stand_in,argv",
+    [("column_chunk", ["--n", "1000000000", "--k", "1"]), ("compose_window", ["--n", "15", "--k", "5"])],
+)
+def test_memory_error_while_composing_the_first_piece_exits_1_and_writes_nothing(
+    capsys, monkeypatch, stand_in, argv
+):
+    # a set in column chunks, or a window of whole sets: the header waits for the first piece
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stand_in, exhausted)
+    code, out, err = run_cli(capsys, "solve", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: not enough memory for this instance\n"
 
 
 # --- verify -----------------------------------------------------------

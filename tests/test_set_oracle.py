@@ -4,7 +4,8 @@ The oracle reads each set straight off ``plan``, one level at a time, and
 shares nothing else with the solver: the meander and an s-run give column j,
 two progressions of stride 2k, and ge/go give a finished pair or map j to
 one or two child sets. ``compose_window`` must build each single-set window
-exactly as the oracle states it.
+exactly as the oracle states it, and ``column_chunk`` each chunk of a top
+column exactly as the oracle's column restricted to the chunk's blocks.
 """
 
 import random
@@ -13,7 +14,7 @@ from itertools import chain
 import pytest
 
 from equipart.core import N_MAX, enumerate_instances, validate_instance
-from equipart.solver import compose_window, plan
+from equipart.solver import column_chunk, compose_window, plan
 from equipart.trace import TraceSymbol
 
 
@@ -63,15 +64,22 @@ def test_every_set_up_to_400_is_its_progressions():
     assert checked == 128035
 
 
+def within(r, low, high):
+    """The elements of the ascending range r in low..high-1, as a range."""
+    return r[max(0, (low - r.start + r.step - 1) // r.step) : max(0, (high - r.start + r.step - 1) // r.step)]
+
+
 # a set of at most this many elements is composed and compared element by
-# element; a larger one is checked in closed form only: its elements lie in
-# 1..n, and there are at most n of them, summing to t
+# element; a larger one is checked in closed form (its elements lie in 1..n,
+# and there are at most n of them, summing to t), and its top column, as
+# the CLI writes it, by its first, last and one seeded chunk of CHUNK blocks
 LISTED = 10**4
+CHUNK = 2**13
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sampled_sets_near_n_max_are_their_progressions(seed):
-    rng = random.Random(seed)
+    rng, chunk_rng = random.Random(seed), random.Random(-1 - seed)
     listed = summed = 0
     for _ in range(8):
         n = N_MAX - rng.randrange(10**6)
@@ -87,5 +95,13 @@ def test_sampled_sets_near_n_max_are_their_progressions(seed):
                 else:
                     assert size <= n and min(r[0] for r in ranges if r) >= 1, (n, k, t, j)
                     assert max(r[-1] for r in ranges if r) <= n, (n, k, t, j)
+                    case = trace.runs[0][0]
+                    assert case in (TraceSymbol.SMALLER, TraceSymbol.MEANDER), (n, k, t, j)
+                    low = trace.openings[1].n + 1 if case is TraceSymbol.SMALLER else 1 - n % 2
+                    blocks = (n + 1 - low) // (2 * k)
+                    for p in {0, (blocks - 1) // CHUNK * CHUNK, chunk_rng.randrange(blocks)}:
+                        q = min(p + CHUNK, blocks)
+                        chunk = chain.from_iterable(within(r, low + 2 * k * p, low + 2 * k * q) for r in ranges)
+                        assert list(column_chunk(trace, j, p, q)) == sorted(chunk), (n, k, t, j, p)
                     summed += 1
     assert listed and summed
