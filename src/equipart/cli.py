@@ -33,7 +33,7 @@ from .core import (
 )
 from .oracle import DEFAULT_CAP, brute_force_partition
 from .scan import run_scan, write_csv
-from .solver import Sets, column_blocks, column_chunk, compose_window, plan
+from .solver import Sets, compose_window, plan, set_parts
 from .trace import Trace, render_trace
 
 EXIT_OK = 0
@@ -52,6 +52,7 @@ _HEAD = rb'\{"n": ([1-9]\d*), "k": ([1-9]\d*), "t": ([1-9]\d*)(?:, "trace": "[a-
 class _Encoder(dict):
     """Sets as one ``%``-format of a template per set size, each made once:
     JSON arrays ``[1, 2]`` joined by ``", "``, or text rows ``set 7: 1 2``.
+    A negative size is a part of a set: its values alone, no head, no tail.
     ``%d`` of an int is what ``json.dumps`` writes for it."""
 
     def __init__(self, json_format: bool) -> None:
@@ -60,10 +61,10 @@ class _Encoder(dict):
         self.head, self.sep, self.tail, self.between = (
             ("set %d: ", " ", "\n", "") if self.numbered else ("[", ", ", "]", ", ")
         )
-        self.chunks: dict[int, str] = {}  # the templates of parts of a set: no head, no tail
 
     def __missing__(self, size: int) -> str:
-        template = self[size] = self.head + self.sep.join(["%d"] * size) + self.tail
+        body = self.sep.join(["%d"] * abs(size))
+        template = self[size] = body if size < 0 else self.head + body + self.tail
         return template
 
     def __call__(self, sets: Sets, first: int) -> tuple[str, int]:
@@ -75,55 +76,37 @@ class _Encoder(dict):
         values = tuple(chain.from_iterable(sets))
         return template % values, len(values) - numbers
 
-    def chunk(self, values: Sequence[int]) -> str:
-        """Part of one set: its values, joined by the separator."""
-        size = len(values)
-        template = self.chunks.get(size) or self.chunks.setdefault(size, self.sep.join(["%d"] * size))
-        return template % values
-
 
 def _write_solution(out: TextIO, trace: Trace, json_format: bool) -> None:
     """Compose and write the partition of the trace's instance one window of
-    about ``_WINDOW`` elements at a time: whole sets, or, where a column of an
-    s-run or meander top exceeds a window, one set at a time, its child's part
-    and then its column in chunks of blocks. The header follows the first
-    window, so an instance too large to compose writes nothing."""
+    about ``_WINDOW`` elements at a time: whole sets, or, where a set exceeds
+    a window, that set in the parts ``set_parts`` cuts. The header follows
+    the first piece, so an instance too large to compose writes nothing."""
     n, k, t = trace.openings[0]
     trace_text = render_trace(trace)  # m s ge go ^, digits and spaces: nothing for JSON to escape
     if json_format:
-        head = f'{{"n": {n}, "k": {k}, "t": {t}, "trace": "{trace_text}", "sets": ['
-        between, end = ", ", "]}\n"
+        head, end = f'{{"n": {n}, "k": {k}, "t": {t}, "trace": "{trace_text}", "sets": [', "]}\n"
     else:
-        head, between, end = f"n={n} k={k} t={t}\ntrace: {trace_text}\n", "", ""
+        head, end = f"n={n} k={k} t={t}\ntrace: {trace_text}\n", ""
     encode = _Encoder(json_format)
     written = 0
-    blocks = column_blocks(trace)
-    if 2 * blocks > _WINDOW:  # a column takes two values of each block
-        # an s-run top has a child, whose set j opens set j; a meander top has none
-        child = Trace(trace.runs[1:], trace.openings[1:]) if len(trace.runs) > 1 else None
-        per = max(1, _WINDOW // 2)
-        for j in range(k):
-            values = compose_window(child, j, j + 1)[0][0] if child else ()
-            opening = encode.head % (j + 1) if encode.numbered else encode.head
-            for p in range(0, blocks, per):
-                values += column_chunk(trace, j, p, min(p + per, blocks))
-                text = encode.chunk(values)
-                out.write(head + opening)
-                out.write(text)
-                head, opening = "", encode.sep
-                written += len(values)
-                values = ()
-            out.write(encode.tail)
-            head = between
-    else:
-        step = max(1, _WINDOW * k // n)
-        for a in range(0, k, step):
+    step = _WINDOW * k // n  # the whole sets a window holds
+    for a in range(0, k, step or 1):
+        if step:
             sets, _ = compose_window(trace, a, min(a + step, k))
             text, elements = encode(sets, a + 1)
-            out.write(head)
-            out.write(text)
-            head = between
-            written += elements
+        else:  # set a alone, its head before the first part and its tail after the last
+            opening = encode.head % (a + 1) if encode.numbered else encode.head
+            for part in set_parts(trace, a, _WINDOW):
+                out.write(head + opening)
+                out.write(encode[-len(part)] % part)
+                head, opening = "", encode.sep
+                written += len(part)
+            text, elements = encode.tail, 0
+        out.write(head)
+        out.write(text)
+        head = encode.between
+        written += elements
     if written != n:
         raise InvariantError(f"wrote {written} elements of the partition of 1..{n}")
     out.write(end)

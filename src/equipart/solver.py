@@ -34,8 +34,8 @@ places one range above all of its child's elements, so appending keeps
 every set ascending; it must return its window's sets with exactly the
 elements it places in them, the finished pairs its parent built counted as
 its own. ``solve_detailed`` is the window of all k sets; the CLI writes one
-window at a time, and a set of an s-run or meander top that exceeds a window
-as the child's set and its column in chunks of blocks (``column_chunk``).
+window at a time, and a set larger than a window in the parts ``set_parts``
+cuts: the child's set, then the top column in chunks of blocks.
 
 The meander fills set j (1-based) from two progressions of stride 2k, a
 descending-anchored line I and an ascending line II:
@@ -51,7 +51,7 @@ odd case starts at 0, which opens the first column and is dropped.
 from __future__ import annotations
 
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     InstanceError, InvariantError, Partition, PreconditionError, ProblemInstance, validate_instance
@@ -153,13 +153,6 @@ def meander_sets(n: int, k: int, a: int, b: int) -> list[tuple[int, ...]]:
     if n % 2 and a == 0 < b:
         sets[0] = sets[0][1:]  # the bookkeeping 0
     return sets
-
-
-def column_blocks(trace: Trace) -> int:
-    """The blocks of 2k values each column of the trace's top level spans: an
-    s-run's steps, a meander's n/2k or (n+1)/2k; none for ge or go."""
-    (case, steps), (n, k, _) = trace.runs[0], trace.openings[0]
-    return steps if case is _SMALLER else (n + 1) // (2 * k) if case is _MEANDER else 0
 
 
 def column_chunk(trace: Trace, j: int, p: int, q: int) -> tuple[int, ...]:
@@ -286,6 +279,27 @@ def compose_window(trace: Trace, a: int, b: int) -> tuple[Sets, int]:
         size += placed
         child_n = n
     return sets, size
+
+
+def set_parts(trace: Trace, j: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Set j of the trace's instance in ascending parts of about ``size``
+    elements. Under an s-run or meander top, column j of the top level in
+    chunks of max(1, size // 2) blocks of 2k values (a column takes two values
+    of each), the first joined to the child's set j under an s-run; under a
+    ge or go top, whose sets hold fewer than 2√n elements, the whole set."""
+    (case, steps), (n, k, _) = trace.runs[0], trace.openings[0]
+    if case is _SMALLER:
+        part = compose_window(Trace(trace.runs[1:], trace.openings[1:]), j, j + 1)[0][0]
+        blocks = steps
+    elif case is _MEANDER:
+        part, blocks = (), (n + 1) // (2 * k)
+    else:
+        yield compose_window(trace, j, j + 1)[0][0]
+        return
+    per = max(1, size // 2)
+    for p in range(0, blocks, per):
+        yield part + column_chunk(trace, j, p, min(p + per, blocks))
+        part = ()
 
 
 def solve_detailed(instance: ProblemInstance, *, record_steps: bool = False) -> SolveResult:

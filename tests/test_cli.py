@@ -337,11 +337,12 @@ def test_solve_of_a_set_too_large_for_memory_streams_it_until_the_reader_leaves(
 def test_memory_error_while_composing_the_first_piece_exits_1_and_writes_nothing(
     capsys, monkeypatch, stand_in, argv
 ):
-    # a set in column chunks, or a window of whole sets: the header waits for the first piece
+    # the first part of a set that solver.set_parts cuts into column chunks, or
+    # a window of whole sets: the header waits for the first piece
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, stand_in, exhausted)
+    monkeypatch.setattr(solver if stand_in == "column_chunk" else cli, stand_in, exhausted)
     code, out, err = run_cli(capsys, "solve", *argv)
     assert (code, out) == (1, "")
     assert err == "error: not enough memory for this instance\n"

@@ -6,6 +6,7 @@ two progressions of stride 2k, and ge/go give a finished pair or map j to
 one or two child sets. ``compose_window`` must build each single-set window
 exactly as the oracle states it, and ``column_chunk`` each chunk of a top
 column exactly as the oracle's column restricted to the chunk's blocks.
+``set_parts`` must cut each set into ascending parts that join to it.
 """
 
 import random
@@ -14,7 +15,7 @@ from itertools import chain
 import pytest
 
 from equipart.core import N_MAX, enumerate_instances, validate_instance
-from equipart.solver import column_chunk, compose_window, plan
+from equipart.solver import column_chunk, compose_window, plan, set_parts
 from equipart.trace import TraceSymbol
 
 
@@ -62,6 +63,25 @@ def test_every_set_up_to_400_is_its_progressions():
                 assert list(composed_set(trace, j)) == want, (n, k, t, j)
                 checked += 1
     assert checked == 128035
+
+
+def test_set_parts_join_to_every_set_up_to_400():
+    # every part ascends from above the last one, a part after the first holds
+    # at most one chunk of max(1, size // 2) blocks, two values each, and a ge
+    # or go top yields its set whole
+    for n in range(1, 401):
+        for k, t in enumerate_instances(n):
+            trace = plan(validate_instance(n, k, t))
+            whole = trace.runs[0][0] in (TraceSymbol.GREATER_EVEN, TraceSymbol.GREATER_ODD)
+            for j in range(k):
+                want = compose_window(trace, j, j + 1)[0][0]
+                for size in (1, 2, 3, 17):
+                    parts = list(set_parts(trace, j, size))
+                    assert all(a[-1] < b[0] for a, b in zip(parts, parts[1:])), (n, k, j, size)
+                    assert all(list(part) == sorted(set(part)) for part in parts), (n, k, j, size)
+                    assert tuple(chain.from_iterable(parts)) == want, (n, k, j, size)
+                    assert all(len(part) <= 2 * max(1, size // 2) for part in parts[1:]), (n, k, j, size)
+                    assert parts and (len(parts) == 1 or not whole), (n, k, j, size)
 
 
 def within(r, low, high):
