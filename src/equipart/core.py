@@ -163,12 +163,13 @@ def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationRepo
 
 
 def table_accepts(instance: ProblemInstance, runs: Iterable[Sequence[Sequence[int]]]) -> bool:
-    """The acceptance rule of :func:`verify_partition`, for sets read in runs:
-    the runs hold ``k`` sets and ``n`` elements in all, every set sums to
-    ``t``, ``k * t = n(n+1)/2``, and the elements mark every cell ``1..n`` of
-    a table of ``n + 1`` bytes. The caller bounds that table by what it
-    holds or reads. False for any other sets; an element that is not an
-    ``int`` may raise TypeError instead.
+    """The loop of ``cli``'s verify stream, for sets read in runs: the runs
+    hold ``k`` sets and ``n`` elements in all, every set sums to ``t``,
+    ``k * t = n(n+1)/2``, and the elements mark every cell ``1..n`` of a
+    table of ``n + 1`` bytes. The caller proves the elements are integers,
+    and bounds that table by what it holds or reads. False for any other
+    sets; an integer in place of a set raises TypeError instead.
+    :func:`verify_partition` applies the same rule in its own loop.
     """
     n, k, t = instance
     if k * t != instance.total:
@@ -200,27 +201,40 @@ def verify_partition(
 ) -> VerificationReport:
     """Check a candidate against the three partition conditions.
 
-    Raises TypeError if an element is not an ``int`` (``bool`` and
-    ``float`` are rejected too), before WrongArityError for a wrong number
-    of sets. A candidate of exactly ``n`` elements whose sets each sum to
-    ``t``, with ``k * t = n(n+1)/2``, is checked in a table of ``n + 1``
-    bytes, about ``n`` bytes beyond the candidate: it is a partition iff
-    its elements mark every cell ``1..n``, since the sums leave no room for
-    a negative element that aliases a cell. Any other candidate, and one
-    the table rejects, gets a pass that pins down the first offending set
-    and element: in a fresh table if it holds at least ``n`` elements,
-    else in a set of what it holds, never sized by a larger claimed ``n``.
+    A candidate of ``k`` sets and exactly ``n`` elements whose sets each sum
+    to ``t``, with ``k * t = n(n+1)/2``, is first checked in one pass over
+    its elements, in a table of ``n + 1`` bytes, about ``n`` bytes beyond
+    the candidate: it is a partition iff its elements are all ``int`` and
+    mark every cell ``1..n`` (the rule of :func:`table_accepts`). Only a
+    candidate that pass does not accept gets the rest, in this order: a
+    TypeError if an element is not an ``int`` (``bool`` and ``float`` are
+    rejected too), then WrongArityError for a wrong number of sets, then a
+    pass that pins down the first offending set and element: in a fresh
+    table if it holds at least ``n`` elements, else in a set of what it
+    holds, never sized by a larger claimed ``n``.
     """
     sets = candidate.sets if isinstance(candidate, Partition) else candidate
+    n, k, t = instance
+    try:
+        if len(sets) == k and k * t == instance.total and sum(map(len, sets)) == n and set(map(sum, sets)) <= {t}:
+            # table_accepts' argument, with a cell marked only by an exact
+            # int: a bool or an int subclass leaves its cell 0, so n elements
+            # cannot cover 1..n, and a float raises TypeError at the index
+            seen = bytearray(n + 1)
+            for members in sets:
+                for x in members:
+                    seen[x] = type(x) is int
+            if seen.find(0, 1) == -1:
+                return VerificationReport(True, True, True, None)
+    except (ArithmeticError, IndexError, TypeError):
+        pass  # the path below names the element or the type (a Decimal sum may raise)
+    seen = None  # a rejection holds one table, the diagnosis's
     element_types = set(map(type, chain.from_iterable(sets)))
     if not element_types <= {int}:
         names = ", ".join(sorted(cls.__name__ for cls in element_types - {int}))
         raise TypeError(f"partition elements must be int, got {names}")
-    if len(sets) != instance.k:
-        raise WrongArityError(f"expected {instance.k} subsets, got {len(sets)}")
-    n, t = instance.n, instance.t
-    if sum(map(len, sets)) == n and table_accepts(instance, (sets,)):
-        return VerificationReport(True, True, True, None)
+    if len(sets) != k:
+        raise WrongArityError(f"expected {k} subsets, got {len(sets)}")
     return _diagnose(n, t, sets)
 
 

@@ -104,9 +104,12 @@ def _maximal_runs(runs: Runs) -> list[list]:
     return merged
 
 
+_SYMBOLS = {symbol.value: symbol for symbol in TraceSymbol}
+
+
 def _step_counts(runs: Runs) -> dict[TraceSymbol, int]:
     """The number of steps of every symbol, zero for an absent one."""
-    count = dict.fromkeys(TraceSymbol, 0)
+    count = dict.fromkeys(_SYMBOLS.values(), 0)  # iterating the enum class is several times slower
     for symbol, steps in runs:
         count[symbol] += steps
     return count
@@ -118,9 +121,6 @@ def render_trace(trace: Trace) -> str:
         symbol.value if steps == 1 else f"{symbol.value}^{steps}"
         for symbol, steps, _, _ in _maximal_runs(trace.runs)
     )
-
-
-_SYMBOLS = {symbol.value: symbol for symbol in TraceSymbol}
 
 
 def parse_trace(text: str) -> Trace:

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from equipart.core import (
     WrongArityError,
     _diagnose,
     enumerate_instances,
+    table_accepts,
     triangular,
     validate_instance,
     verify_partition,
@@ -151,9 +154,24 @@ def test_verify_wrong_arity():
         verify_partition(inst, [[1, 2, 3, 4]])
 
 
-@pytest.mark.parametrize("sets", [[[True, 2], [3]], [[1.0, 2], [3]], [[1, 2], ["3"]]])
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        [[True, 2], [3]],
+        [[1.0, 2], [3]],
+        [[1, 2], ["3"]],
+        [[_Int(1), 2], [3]],
+        [[Decimal("sNaN"), 2], [3]],
+    ],
+)
 def test_verify_rejects_non_int_elements(sets):
-    # True == 1 and 1.0 == 1 would otherwise pass as the element 1
+    # True == 1, 1.0 == 1 and _Int(1) == 1 would otherwise pass as the
+    # element 1; the accept pass marks a cell only for an exact int, and a
+    # sum that raises (a signalling NaN) leaves the TypeError to the type pass
     with pytest.raises(TypeError, match="must be int"):
         verify_partition(validate_instance(3, 2, 3), sets)
 
@@ -235,7 +253,11 @@ def test_verify_agrees_with_oracle_on_mutated_partitions(data):
         target = data.draw(st.integers(0, k - 1), label="target set")
         x = sets[source].pop(index) if mutation == "move" else sets[source][index]
         sets[target].append(x)
-    assert verify_partition(partition.instance, sets).ok == _oracle_ok(partition.instance, sets)
+    instance = partition.instance
+    want = _oracle_ok(instance, sets)
+    assert verify_partition(instance, sets).ok == want
+    # the verify stream's loop, kept apart from the library's, gives the same verdict
+    assert (sum(map(len, sets)) == n and table_accepts(instance, (sets,))) == want
 
 
 def test_verify_memory_is_a_byte_per_element():
@@ -329,8 +351,9 @@ def test_diagnose_memory_is_a_byte_per_element():
         tracemalloc.stop()
     assert report == reference_core.diagnose(instance.n, instance.t, sets)
     assert not report.disjoint
-    # a set of the 200,000 elements would take about 8 MB
-    assert peak < 2**20
+    # one table of n + 1 bytes, the diagnosis's: the accept pass drops its
+    # own before the diagnosis runs, and two tables would not fit
+    assert peak < 1.5 * (instance.n + 1)
 
 
 def test_verify_metamorphic_move_breaks_partition():
