@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 from itertools import chain, count
 from operator import add
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TextIO
 
 from .core import (
     InstanceError,
@@ -31,10 +31,10 @@ from .core import (
     verify_partition,
     enumerate_instances,
 )
-from .oracle import DEFAULT_CAP, brute_force_partition
-from .scan import run_scan, write_csv
-from .solver import Sets, compose_window, plan, set_parts
-from .trace import Trace, render_trace
+
+if TYPE_CHECKING:  # each command imports the modules it runs, when it runs
+    from .solver import Sets
+    from .trace import Trace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -82,6 +82,9 @@ def _write_solution(out: TextIO, trace: Trace, json_format: bool) -> None:
     about ``_WINDOW`` elements at a time: whole sets, or, where a set exceeds
     a window, that set in the parts ``set_parts`` cuts. The header follows
     the first piece, so an instance too large to compose writes nothing."""
+    from .solver import compose_window, set_parts
+    from .trace import render_trace
+
     n, k, t = trace.openings[0]
     trace_text = render_trace(trace)  # m s ge go ^, digits and spaces: nothing for JSON to escape
     if json_format:
@@ -125,11 +128,16 @@ def _instance(args: argparse.Namespace) -> ProblemInstance:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import plan
+
     _write_solution(sys.stdout, plan(_instance(args)), args.format == "json")
     return EXIT_OK
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .solver import plan
+    from .trace import render_trace
+
     instance = _instance(args)
     trace = plan(instance)  # the trace needs no sets
     print(render_trace(trace))
@@ -143,8 +151,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import DEFAULT_CAP, brute_force_partition
+
     instance = _instance(args)
-    partition = brute_force_partition(instance, cap=args.cap)
+    partition = brute_force_partition(instance, cap=DEFAULT_CAP if args.cap is None else args.cap)
     if partition is None:
         raise InvariantError("no partition found")
     n, k, t = instance
@@ -152,36 +162,50 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _set_run(run: bytes, loads: Callable[[bytes], Any]) -> list:
-    """A run of whole sets, ``[1, 2], [3]``, as lists of ints proven from its
-    bytes: digits, ``-``, ``[``, ``]``, ``,`` and space spell only integers
-    and lists, and one ``[`` per set leaves no list inside a set (an integer
-    in place of a set has no length: TypeError in ``table_accepts``)."""
+def _set_run(run: bytes, continues: bool, loads: Callable[[bytes], Any]) -> tuple[list, bool]:
+    """A run of the sets, cut at commas, as ``(lists, open)`` for
+    ``table_accepts``. A run that does not open with ``[`` continues the set
+    the run before left open, and one that does not close with ``]`` leaves
+    its last set open; the run is wrapped to one list of lists, ``5, 6], [7``
+    as ``[[5, 6], [7]]``. ValueError unless its bytes are digits, ``-``,
+    ``[``, ``]``, ``,`` and spaces, which spell only integers and lists; it
+    opens a set iff the run before closed its own; each decoded list has its
+    own ``[``, the wrapper's counted (and so its own ``]``), so no list sits
+    inside a set (an integer in place of a set has no length: TypeError in
+    ``table_accepts``); and the lists at both ends hold an element, so no
+    cut hides an empty one (``1,, 2`` or ``1, ]``)."""
     if run.translate(None, b"0123456789-[], "):
         raise ValueError("not a run of integer sets")
-    sets = loads(b"[" + run + b"]")
-    if run.count(b"[") != len(sets):
+    body = run.strip(b" ")
+    opens, closes = body[:1] == b"[", body[-1:] == b"]"
+    if opens is continues:
+        raise ValueError("a run must open a set iff the run before closed its set")
+    lists = loads((b"[" if opens else b"[[") + run + (b"]" if closes else b"]]"))
+    if run.count(b"[") + (not opens) != len(lists) or not (lists[0] and lists[-1]):
         raise ValueError("not a run of integer sets")
-    return sets
+    return lists, not closes
 
 
-def _set_runs(pieces: Iterator[bytes], loads: Callable[[bytes], Any]) -> Iterator[list]:
+def _set_runs(pieces: Iterator[bytes], loads: Callable[[bytes], Any]) -> Iterator[tuple[list, bool]]:
     """The sets that follow ``"sets": [`` in the pieces of a file, a run per
-    piece that holds a ``], [``, cut at its last one. ValueError unless the
-    sets close the file with ``]}`` and whitespace."""
+    piece that holds a ``,``, cut at its last one, so a run may start or end
+    inside a set. ValueError unless the sets close the file with ``]}`` and
+    whitespace."""
     pending: list[bytes] = []
+    continues = False  # whether the last run left a set open
     for piece in pieces:
-        cut = piece.rfind(b"], [")
+        cut = piece.rfind(b",")
         if cut < 0:
             pending.append(piece)
             continue
-        pending.append(piece[: cut + 1])
-        yield _set_run(b"".join(pending), loads)
-        pending = [piece[cut + 3 :]]
+        pending.append(piece[:cut])
+        lists, continues = _set_run(b"".join(pending), continues, loads)
+        yield lists, continues
+        pending = [piece[cut + 1 :]]
     tail = b"".join(pending).rstrip(b" \t\n\r")
     if not tail.endswith(b"]}"):
         raise ValueError("the sets do not close the file")
-    yield _set_run(tail[:-2], loads)
+    yield _set_run(tail[:-2], continues, loads)
 
 
 def _streamed_instance(path: str) -> ProblemInstance | None:
@@ -248,14 +272,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .scan import run_scan, write_csv
+
     # --out is opened before the scan, so a path that cannot be written fails at
-    # once; append mode leaves a file as it was until there are records to write
+    # once; append mode leaves a file as it was until there are records to write,
+    # and a file that this call created is removed again if the scan fails
+    created = args.out is not None and not os.path.lexists(args.out)
     handle = None if args.out is None else open(args.out, "a", encoding="utf-8", newline="")
-    with handle or nullcontext(sys.stdout) as out:
-        result = run_scan(args.n_max, args.n_min)
-        if handle is not None and os.path.isfile(args.out):  # a device or pipe has nothing to empty
-            out.truncate(0)
-        write_csv(result.records, out)
+    try:
+        with handle or nullcontext(sys.stdout) as out:
+            result = run_scan(args.n_max, args.n_min)
+            if handle is not None and os.path.isfile(args.out):  # a device or pipe has nothing to empty
+                out.truncate(0)
+            write_csv(result.records, out)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     for violation in result.violations:
         print(
             f"violation: n={violation.n} k={violation.k} t={violation.t} "
@@ -304,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.set_defaults(handler=_cmd_trace)
 
     oracle_p = sub.add_parser("oracle", parents=[instance_p], help="brute-force a small instance")
-    oracle_p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest allowed n")
+    oracle_p.add_argument("--cap", type=int, default=None, help="largest allowed n")
     oracle_p.set_defaults(handler=_cmd_oracle)
 
     scan_p = sub.add_parser("scan", help="solve and check every instance in a range")

@@ -162,13 +162,18 @@ def _diagnose(n: int, t: int, sets: Sequence[Sequence[int]]) -> VerificationRepo
     return VerificationReport(disjoint, covers, sums_ok, first)
 
 
-def table_accepts(instance: ProblemInstance, runs: Iterable[Sequence[Sequence[int]]]) -> bool:
-    """The loop of ``cli``'s verify stream, for sets read in runs: the runs
-    hold ``k`` sets and ``n`` elements in all, every set sums to ``t``,
-    ``k * t = n(n+1)/2``, and the elements mark every cell ``1..n`` of a
-    table of ``n + 1`` bytes. The caller proves the elements are integers,
-    and bounds that table by what it holds or reads. False for any other
-    sets; an integer in place of a set raises TypeError instead.
+def table_accepts(instance: ProblemInstance, runs: Iterable[tuple[Sequence[Sequence[int]], bool]]) -> bool:
+    """The loop of ``cli``'s verify stream, for sets read in runs that may
+    cut inside a set: each run is ``(lists, open)``, where the first list
+    continues the set the run before left open, if it did, and ``open``
+    says whether the last list leaves its set open for the next run. The
+    runs hold ``k`` sets and ``n`` elements in all, every set sums to
+    ``t``, ``k * t = n(n+1)/2``, no set is left open at the end, and the
+    elements mark every cell ``1..n`` of a table of ``n + 1`` bytes. A
+    set's sum is the sum of its parts, checked and counted once it closes.
+    The caller proves the elements are integers, and bounds that table by
+    what it holds or reads. False for any other sets; an integer in place
+    of a list raises TypeError instead.
     :func:`verify_partition` applies the same rule in its own loop.
     """
     n, k, t = instance
@@ -182,18 +187,22 @@ def table_accepts(instance: ProblemInstance, runs: Iterable[Sequence[Sequence[in
     # elements are exactly 1..n.
     seen = bytearray(n + 1)
     sets_read = elements = 0
+    left_open, partial = False, 0  # whether the last run left a set open, and that set's sum so far
     try:
-        for sets in runs:
-            sets_read += len(sets)
-            elements += sum(map(len, sets))
-            if not set(map(sum, sets)) <= {t}:
+        for lists, left_open in runs:
+            sums = list(map(sum, lists))
+            sums[0] += partial  # IndexError for a run of no lists
+            partial = sums.pop() if left_open else 0
+            sets_read += len(sums)
+            if sums.count(t) != len(sums):
                 return False
-            for members in sets:
+            elements += sum(map(len, lists))
+            for members in lists:
                 for x in members:
                     seen[x] = 1
     except IndexError:
         return False
-    return sets_read == k and elements == n and seen.find(0, 1) == -1
+    return not left_open and sets_read == k and elements == n and seen.find(0, 1) == -1
 
 
 def verify_partition(

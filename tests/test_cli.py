@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from equipart import cli, solver
+from equipart import cli, oracle, scan, solver
 from equipart.cli import main, run
 from equipart.core import N_MAX, enumerate_instances, triangular, validate_instance
 from equipart.oracle import brute_force_partition
@@ -183,13 +183,13 @@ def test_sets_larger_than_the_window_are_written_in_chunks_of_the_eager_partitio
 
 
 def test_solve_counts_the_elements_it_writes(capsys, monkeypatch):
-    real = cli.compose_window
+    real = solver.compose_window
 
     def dropping(trace, a, b):  # the window's last set loses its last element
         sets, size = real(trace, a, b)
         return [*sets[:-1], sets[-1][:-1]], size - 1
 
-    monkeypatch.setattr(cli, "compose_window", dropping)
+    monkeypatch.setattr(solver, "compose_window", dropping)
     monkeypatch.setattr(cli, "_WINDOW", 4)
     code, out, err = run_cli(capsys, "solve", "--n", "15", "--k", "5")
     assert code == 3
@@ -342,7 +342,7 @@ def test_memory_error_while_composing_the_first_piece_exits_1_and_writes_nothing
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(solver if stand_in == "column_chunk" else cli, stand_in, exhausted)
+    monkeypatch.setattr(solver, stand_in, exhausted)
     code, out, err = run_cli(capsys, "solve", *argv)
     assert (code, out) == (1, "")
     assert err == "error: not enough memory for this instance\n"
@@ -466,25 +466,35 @@ def test_verify_sizes_no_table_by_a_header_alone(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_streams_a_solve_file_in_a_fraction_of_the_memory(tmp_path):
-    # (2*10^5, 10^5) as solve writes it, and a compact copy, read whole
+    # (2*10^5, 10^5) as solve writes it against a compact copy, read whole;
+    # and (2*10^5, 3), whose sets of 66,667 elements each span many reads:
+    # the stream holds the table of n + 1 bytes and a few reads' bytes and
+    # lists (about 1.5 MB), never a set (one set's ints and list alone take
+    # 2.4 MB, and the file's peak was 7.2 MB when a run held whole sets)
     import tracemalloc
 
-    path = tmp_path / "solve.json"
-    with open(path, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
-        assert main(["solve", "--n", "200000", "--k", "100000", "--format", "json"]) == 0
-    compact = tmp_path / "compact.json"
-    compact.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
-    peaks = []
-    for candidate in (path, compact):
+    def verify_peak(path, n, k, t):
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert main(["verify", str(candidate)]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
+                assert main(["verify", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.getvalue() == "ok: valid partition of 1..200000 into 100000 sets of sum 200001\n"
-    assert peaks[0] < peaks[1] / 4, peaks
+        assert out.getvalue() == f"ok: valid partition of 1..{n} into {k} sets of sum {t}\n"
+        return peak
+
+    peaks = []
+    for k in (100000, 3):
+        path = tmp_path / f"solve-{k}.json"
+        with open(path, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+            assert main(["solve", "--n", "200000", "--k", str(k), "--format", "json"]) == 0
+        peaks.append(verify_peak(path, 200000, k, triangular(200000) // k))
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads((tmp_path / "solve-100000.json").read_text()), separators=(",", ":")))
+    peaks.append(verify_peak(compact, 200000, 100000, 200001))
+    assert peaks[0] < peaks[2] / 4, peaks
+    assert peaks[1] < 200001 + 24 * cli._READ, peaks
 
 
 @pytest.mark.parametrize(
@@ -667,7 +677,7 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_without_a_partition_is_an_invariant_violation(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_force_partition", lambda instance, cap: None)
+    monkeypatch.setattr(oracle, "brute_force_partition", lambda instance, cap: None)
     code, out, err = run_cli(capsys, "oracle", "--n", "4", "--k", "2")
     assert (code, out, err) == (3, "", "internal invariant violation: no partition found\n")
 
@@ -782,7 +792,7 @@ def test_unwritable_out_path_fails_before_the_scan(capsys, tmp_path, monkeypatch
     def run_scan(*args):
         pytest.fail("the scan ran before --out was opened")
 
-    monkeypatch.setattr(cli, "run_scan", run_scan)
+    monkeypatch.setattr(scan, "run_scan", run_scan)
     out_path = str(tmp_path / "missing" / "x.csv")
     code, out, err = run_cli(capsys, "scan", "--n-max", "1000", "--out", out_path)
     assert (code, out) == (1, "") and err.startswith("error:")
@@ -797,6 +807,13 @@ def test_failed_scan_leaves_an_existing_out_file_unchanged(capsys, tmp_path):
     # a scan that succeeds replaces the whole file
     assert run_cli(capsys, "scan", "--n-max", "5", "--out", str(path))[0] == 0
     assert path.read_bytes() == run_cli(capsys, "scan", "--n-max", "5")[1].encode()
+
+
+def test_failed_scan_leaves_no_new_out_file(capsys, tmp_path):
+    path = tmp_path / "new.csv"
+    code, _, err = run_cli(capsys, "scan", "--n-max", "0", "--out", str(path))
+    assert code == 1 and err.startswith("error: need 1 <= n_min")
+    assert not path.exists()
 
 
 def test_scan_out_may_be_a_device(capsys):

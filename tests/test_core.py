@@ -256,8 +256,49 @@ def test_verify_agrees_with_oracle_on_mutated_partitions(data):
     instance = partition.instance
     want = _oracle_ok(instance, sets)
     assert verify_partition(instance, sets).ok == want
-    # the verify stream's loop, kept apart from the library's, gives the same verdict
-    assert (sum(map(len, sets)) == n and table_accepts(instance, (sets,))) == want
+    # the verify stream's loop, kept apart from the library's, gives the same
+    # verdict, on the sets whole and cut into runs inside and between sets
+    assert (sum(map(len, sets)) == n and table_accepts(instance, [(sets, False)])) == want
+    if all(sets):  # an empty set sums to 0, never t: want is False
+        cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=8) if n > 1 else st.just([]), label="cuts")
+        assert (sum(map(len, sets)) == n and table_accepts(instance, _runs(sets, cuts))) == want
+
+
+def _runs(sets, cuts):
+    """Non-empty sets as the verify stream passes them to ``table_accepts``,
+    cut before each element offset in cuts: ``(lists, open)`` per run, where
+    ``open`` says whether the run's last set goes on in the next run."""
+    elements = [(index, x) for index, members in enumerate(sets) for x in members]
+    bounds = sorted({0, len(elements), *(c for c in cuts if c < len(elements))})
+    runs = []
+    for a, b in zip(bounds, bounds[1:]):
+        lists, last = [], None
+        for index, x in elements[a:b]:
+            if index != last:
+                lists.append([])
+                last = index
+            lists[-1].append(x)
+        runs.append((lists, b < len(elements) and elements[b][0] == last))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "runs,accepted",
+    [
+        ([([[6, 9], [7, 8], [1, 2, 3, 4, 5]], False)], True),
+        ([([[6, 9], [7]], True), ([[8], [1, 2]], True), ([[3, 4, 5]], False)], True),
+        ([([[6]], True), ([[9]], False), ([[7, 8], [1, 2, 3, 4, 5]], False)], True),
+        # the same lists read as closed sets: five sets, two of them short
+        ([([[6, 9], [7]], False), ([[8], [1, 2]], False), ([[3, 4, 5]], False)], False),
+        # the last set left open at the end
+        ([([[6, 9], [7, 8]], False), ([[1, 2, 3, 4, 5]], True)], False),
+        # a run of no lists
+        ([([[6, 9], [7, 8]], False), ([], False), ([[1, 2, 3, 4, 5]], False)], False),
+    ],
+    ids=["whole", "cut-inside", "one-set-in-two-runs", "closed", "left-open", "empty-run"],
+)
+def test_table_accepts_carries_an_open_set_into_the_next_run(runs, accepted):
+    assert table_accepts(validate_instance(9, 3, 15), runs) is accepted
 
 
 def test_verify_memory_is_a_byte_per_element():

@@ -3,12 +3,16 @@
 The ten result and record types are ``typing.NamedTuple`` classes. These
 tests pin what callers may rely on: the field names, immutability,
 hashing, equality, the repr text, and that importing the CLI loads none of
-``dataclasses``, ``inspect``, ``csv`` and ``json``.
+``dataclasses``, ``inspect``, ``csv`` and ``json``; also that the package
+exports each name from its home module on first use, and that each command
+of the CLI loads only the modules it runs.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -119,6 +123,77 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# the equipart submodules a spawned `python -m equipart ARGS...` has loaded
+# when it exits, as the last line of its stdout
+_REPORT_MODULES = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith("equipart."))))
+sys.argv[0] = "equipart"
+runpy.run_module("equipart", run_name="__main__", alter_sys=True)
+"""
+
+
+def _spawned(*argv):
+    done = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    *out, modules = done.stdout.splitlines()
+    return out, set(ast.literal_eval(modules))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    probe = "import sys, equipart; print(sorted(m for m in sys.modules if m.startswith('equipart.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}
+    )
+    assert done.stdout == "[]\n"
+    out, loaded = _spawned("solve", "--n", "99", "--k", "3", "--format", "json")
+    assert loaded == {"equipart.cli", "equipart.core", "equipart.solver", "equipart.trace"}
+    path = tmp_path / "solve.json"
+    path.write_text("\n".join(out))
+    out, loaded = _spawned("verify", str(path))
+    assert out == ["ok: valid partition of 1..99 into 3 sets of sum 1650"]
+    assert loaded == {"equipart.cli", "equipart.core"}
+
+
+HOMES = {  # each name of equipart.__all__ under the module that defines it
+    "core": [
+        *("InstanceError", "InvariantError", "N_MAX", "NonPositiveError", "Partition", "PreconditionError"),
+        *("ProblemInstance", "SumMismatchError", "TargetTooSmallError", "VerificationReport"),
+        *("WidthOverflowError", "WrongArityError", "enumerate_instances", "triangular"),
+        *("validate_instance", "verify_partition"),
+    ],
+    "oracle": ["CapExceededError", "brute_force_partition"],
+    "scan": ["ScanRecord", "ScanResult", "run_scan"],
+    "solver": ["SolveResult", "meander_even", "meander_odd", "solve", "solve_detailed"],
+    "trace": [
+        *("Trace", "TracePropertyReport", "TraceSymbol", "TraceSyntaxError", "check_trace_properties"),
+        *("parse_trace", "render_trace"),
+    ],
+}
+
+
+def test_the_package_exports_each_name_from_its_home_module():
+    import equipart
+
+    assert equipart.__all__ == sorted(name for names in HOMES.values() for name in names)
+    exported = {}
+    exec("from equipart import *", exported)
+    for home, names in HOMES.items():
+        module = import_module(f"equipart.{home}")
+        for name in names:
+            assert exported[name] is getattr(module, name) is getattr(equipart, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        equipart.no_such_name
+    from equipart import solver  # a submodule, not an export
+
+    assert solver is import_module("equipart.solver")
 
 
 # --- per_step against the stepwise loop it replaced ------------------------

@@ -1,9 +1,10 @@
 """Differential check: ``equipart verify`` against the frozen whole-file reference.
 
-``verify`` streams a file in the layout ``solve --format json`` writes, a
-run of whole sets at a time, and reads any other file, and any file the
-stream does not accept, whole. ``reference_verify`` is ``verify`` as it was
-when it read every file whole. Both must print the same and exit with the
+``verify`` streams a file in the layout ``solve --format json`` writes, one
+run at a time, each cut at the last comma of a read, so a run may start or
+end inside a set; it reads any other file, and any file the stream does not
+accept, whole. ``reference_verify`` is ``verify`` as it was when it read
+every file whole. Both must print the same and exit with the
 same code on every file tried: at read sizes down to one byte, in every
 layout, valid or not, and on every malformed file the CLI tests pin.
 """
@@ -71,7 +72,7 @@ LAYOUTS = {
     "solve": (True, '{{{h}, "trace": "{tr}", "sets": {s}}}\n'),
     "no-trace": (True, '{{{h}, "sets": {s}}}'),
     "whitespace-tail": (True, '{{{h}, "sets": {s}}} \r\n\t '),
-    # solve's header, sets without spaces: no "], [" to cut at, so one run at the end
+    # solve's header, sets without spaces: cut at commas all the same
     "compact-sets": (True, '{{{h}, "sets": {c}}}'),
     "compact": (False, '{{"n":{n},"k":{k},"t":{t},"sets":{c}}}'),
     "reordered": (False, '{{"k": {k}, "n": {n}, "t": {t}, "sets": {s}}}'),
@@ -188,6 +189,83 @@ def test_every_read_size_cuts_a_solve_file_the_same(edit, expected):
     for read in range(1, len(content) + 2):
         (code, _, _), streamed = check_file(content, read)
         assert (code, streamed) == expected, read
+
+
+def _compact(content):
+    """A file in solve's layout with its sets written without spaces."""
+    head, sets = content.split(b'"sets": [', 1)
+    return head + b'"sets": [' + sets.replace(b", ", b",")
+
+
+@pytest.mark.parametrize("layout", ["solve", "compact-sets"])
+@pytest.mark.parametrize("n,k", [(40, 1), (99, 3)])
+def test_every_read_size_cuts_sets_larger_than_a_read(n, k, layout):
+    # each set is longer than most reads, so most runs start or end inside
+    # a set, or both, and some reads hold no comma at all
+    content = _solved_file(n, k)
+    if layout == "compact-sets":
+        content = _compact(content)
+    for read in range(1, len(content) + 2):
+        (code, _, _), streamed = check_file(content, read)
+        assert (code, streamed) == (0, True), read
+
+
+@pytest.mark.parametrize("layout", ["solve", "compact-sets"])
+def test_no_decoded_run_holds_more_than_a_reads_elements(monkeypatch, tmp_path, layout):
+    # (99999, 3): sets of 33,333 elements against reads of 1 KiB; in either
+    # spelling an element and its comma take at least two bytes
+    content = _solved_file(99999, 3)
+    if layout == "compact-sets":
+        content = _compact(content)
+    path = tmp_path / "candidate.json"
+    path.write_bytes(content)
+    sizes = []
+    real = cli.table_accepts
+
+    def recording(instance, runs):
+        def recorded():
+            for lists, left_open in runs:
+                sizes.append(sum(map(len, lists)))
+                yield lists, left_open
+
+        return real(instance, recorded())
+
+    monkeypatch.setattr(cli, "table_accepts", recording)
+    monkeypatch.setattr(cli, "_READ", 1 << 10)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", str(path)]) == 0
+    assert out.getvalue() == f"ok: valid partition of 1..99999 into 3 sets of sum {99999 * 100000 // 6}\n"
+    assert sum(sizes) == 99999 and len(sizes) > 99999 // 512
+    assert max(sizes) <= (1 << 10) // 2 + 1
+
+
+# the sets [1, 4], [2, 3], [5] of (5, 3, 5), spelled so that each run, cut
+# at a comma, decodes, but the runs do not agree: a run must not continue a
+# set the run before closed, nor open one while a set is left open, nor
+# hold an empty part at a cut. Read at one comma a time, each of the first
+# seven would be accepted as that partition without the check it breaks
+DISAGREEING = {
+    "int-between-sets": "[[1, 4], 2, 3], [5]]",
+    "list-inside-a-set": "[[1, 4], [2, [3], [5]]",
+    "double-comma-in-set": "[[1, 4], [2,, 3], [5]]",
+    "comma-opening-a-set": "[[1, 4], [, 2, 3], [5]]",
+    "comma-closing-a-set": "[[1, 4], [2, 3, ], [5]]",
+    "comma-closing-a-set-at-the-end": "[[1, 4], [2, 3], [5, ]]",
+    "int-after-sets": "[[1, 4], [2, 3], 5]",
+    "list-closing-a-set": "[[1, 4], [2, 3, [5]]]",
+    "empty-set-between": "[[1, 4], [], [2, 3], [5]]",
+    "empty-set-last": "[[1, 4], [2, 3], [5], []]",
+    "double-comma-between-sets": "[[1, 4],, [2, 3], [5]]",
+    "comma-closing-the-sets": "[[1, 4], [2, 3], [5], ]",
+}
+
+
+@pytest.mark.parametrize("name", list(DISAGREEING))
+def test_runs_whose_cuts_disagree_are_read_whole(name):
+    content = f'{{"n": 5, "k": 3, "t": 5, "sets": {DISAGREEING[name]}}}'.encode()
+    for read in range(1, len(content) + 2):
+        (code, out, _), streamed = check_file(content, read)
+        assert code != 0 and not out and not streamed, read
 
 
 def test_a_large_solve_file_streams_in_many_runs():
