@@ -155,15 +155,6 @@ def meander_sets(n: int, k: int, a: int, b: int) -> list[tuple[int, ...]]:
     return sets
 
 
-def column_chunk(trace: Trace, j: int, p: int, q: int) -> tuple[int, ...]:
-    """Column j of the trace's top level, an s-run or a meander, over its
-    blocks p..q-1 of 2k values: ascending, less the odd meander's 0."""
-    (case, _), (n, k, _) = trace.runs[0], trace.openings[0]
-    low = trace.openings[1].n + 1 if case is _SMALLER else 1 - n % 2
-    [column] = meander_columns(low + 2 * k * p, low + 2 * k * q - 1, k, j, j + 1)
-    return column if column[0] else column[1:]
-
-
 def meander_even(instance: ProblemInstance) -> Partition:
     """The meander base for n even, 2k | n: the columns over 1..n, n insertions."""
     n, k = instance.n, instance.k
@@ -285,20 +276,22 @@ def set_parts(trace: Trace, j: int, size: int) -> Iterator[tuple[int, ...]]:
     """Set j of the trace's instance in ascending parts of about ``size``
     elements. Under an s-run or meander top, column j of the top level in
     chunks of max(1, size // 2) blocks of 2k values (a column takes two values
-    of each), the first joined to the child's set j under an s-run; under a
-    ge or go top, whose sets hold fewer than 2√n elements, the whole set."""
-    (case, steps), (n, k, _) = trace.runs[0], trace.openings[0]
+    of each), less the odd meander's 0, the first joined to the child's set j
+    under an s-run; under a ge or go top, whose sets hold fewer than 2√n
+    elements, the whole set."""
+    (case, _), (n, k, _) = trace.runs[0], trace.openings[0]
     if case is _SMALLER:
         part = compose_window(Trace(trace.runs[1:], trace.openings[1:]), j, j + 1)[0][0]
-        blocks = steps
+        low = trace.openings[1].n + 1
     elif case is _MEANDER:
-        part, blocks = (), (n + 1) // (2 * k)
+        part, low = (), 1 - n % 2
     else:
         yield compose_window(trace, j, j + 1)[0][0]
         return
-    per = max(1, size // 2)
-    for p in range(0, blocks, per):
-        yield part + column_chunk(trace, j, p, min(p + per, blocks))
+    span = 2 * k * max(1, size // 2)
+    for p in range(low, n + 1, span):
+        [column] = meander_columns(p, min(p + span, n + 1) - 1, k, j, j + 1)
+        yield part + (column if column[0] else column[1:])
         part = ()
 
 

@@ -154,20 +154,29 @@ def _eager_rendering(instance, json_format):
     return f"n={n} k={k} t={t}\ntrace: {render_trace(trace)}\n" + _rows(partition.sets)
 
 
+@pytest.fixture(scope="module")
+def eager_renderings_up_to_400():
+    """Every instance with n <= 400 and its eager solve rendered whole, in
+    JSON and in text, rendered once for every window tried."""
+    return [
+        (instance, [(json_format, _eager_rendering(instance, json_format)) for json_format in (True, False)])
+        for n in range(1, 401)
+        for instance in (validate_instance(n, k, t) for k, t in enumerate_instances(n))
+    ]
+
+
 @pytest.mark.parametrize("window", [1, 2, 3, 17, cli._WINDOW])
-def test_windowed_solve_writes_the_eager_partition(monkeypatch, window):
+def test_windowed_solve_writes_the_eager_partition(monkeypatch, eager_renderings_up_to_400, window):
     # every instance with n <= 400, composed and written a window of about
     # `window` elements at a time, against the eager solve rendered whole; a
     # set of an s or m top larger than the window is written in chunks of
     # window // 2 blocks (one block at windows 1, 2 and 3)
     monkeypatch.setattr(cli, "_WINDOW", window)
-    for n in range(1, 401):
-        for k, t in enumerate_instances(n):
-            instance = validate_instance(n, k, t)
-            for json_format in (True, False):
-                out = io.StringIO()
-                cli._write_solution(out, plan(instance), json_format)
-                assert out.getvalue() == _eager_rendering(instance, json_format), (n, k, json_format)
+    for instance, renderings in eager_renderings_up_to_400:
+        for json_format, want in renderings:
+            out = io.StringIO()
+            cli._write_solution(out, plan(instance), json_format)
+            assert out.getvalue() == want, (instance.n, instance.k, json_format)
 
 
 @pytest.mark.parametrize("n,k,trace", [(99999, 3, "s^16665 go m"), (65536, 2, "m"), (65535, 2, "m")])
@@ -332,7 +341,7 @@ def test_solve_of_a_set_too_large_for_memory_streams_it_until_the_reader_leaves(
 
 @pytest.mark.parametrize(
     "stand_in,argv",
-    [("column_chunk", ["--n", "1000000000", "--k", "1"]), ("compose_window", ["--n", "15", "--k", "5"])],
+    [("meander_columns", ["--n", "1000000000", "--k", "1"]), ("compose_window", ["--n", "15", "--k", "5"])],
 )
 def test_memory_error_while_composing_the_first_piece_exits_1_and_writes_nothing(
     capsys, monkeypatch, stand_in, argv

@@ -83,8 +83,10 @@ def test_validate_nonpositive(triple):
 
 
 def test_validate_overflow():
-    with pytest.raises(WidthOverflowError):
-        validate_instance(N_MAX + 1, 1, 1)
+    # k or t past 64 bits fails the sum identity too: the width check comes first
+    for triple in ((N_MAX + 1, 1, 1), (1, 2**63, 1), (1, 1, 2**63)):
+        with pytest.raises(WidthOverflowError):
+            validate_instance(*triple)
 
 
 @pytest.mark.parametrize("triple", [(4.0, 1, 10.0), (True, 1, 1), (9, 3, 15.0), (0.0, 1, 1)])
@@ -299,6 +301,20 @@ def _runs(sets, cuts):
 )
 def test_table_accepts_carries_an_open_set_into_the_next_run(runs, accepted):
     assert table_accepts(validate_instance(9, 3, 15), runs) is accepted
+
+
+@pytest.mark.parametrize(
+    "instance,runs",
+    [
+        # k * t = 2, not 6: the -1 marks cell 3, so every other check passes
+        (ProblemInstance(3, 1, 2), [([[1, 2, -1]], False)]),
+        # the last set left open holds no element: the closed one is the partition
+        (validate_instance(3, 1, 6), [([[1, 2, 3], []], True)]),
+    ],
+    ids=["sum-identity", "empty-set-left-open"],
+)
+def test_table_accepts_rejects_what_only_one_check_catches(instance, runs):
+    assert table_accepts(instance, runs) is False
 
 
 def test_verify_memory_is_a_byte_per_element():

@@ -27,6 +27,11 @@ def test_exists_partition_on_valid_instances():
     assert brute_force_partition(validate_instance(9, 3, 15)) is not None
 
 
+def test_no_partition_is_none():
+    # k * t = 8 < 10: the search runs out of choices for element 1
+    assert brute_force_partition(ProblemInstance(4, 2, 4)) is None
+
+
 def test_cap_is_enforced_and_overridable():
     inst = validate_instance(31, 16, 31)
     with pytest.raises(CapExceededError):

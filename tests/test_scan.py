@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from equipart import solver
-from equipart.scan import depth_bound, depth_limit, run_scan, scan_instance, write_csv
+from equipart import cli, scan, solver
+from equipart.core import SumMismatchError
+from equipart.scan import ScanViolation, depth_bound, depth_limit, run_scan, scan_instance, write_csv
+from equipart.trace import PropertyCheck, TracePropertyReport
 
 
 def test_depth_bounds_formulas():
@@ -62,7 +64,7 @@ def test_write_csv_exact_bytes():
     )
 
 
-def test_scan_instance_detects_seeded_bug(monkeypatch):
+def _rotate_meander_columns(monkeypatch):
     real = solver.meander_columns
 
     def rotated_columns(low, high, k, a, b):
@@ -73,6 +75,57 @@ def test_scan_instance_detects_seeded_bug(monkeypatch):
         ]
 
     monkeypatch.setattr(solver, "meander_columns", rotated_columns)
-    record, violations = scan_instance(8, 2, 18)
-    assert record is not None and not record.verified
-    assert any(v.kind == "verify" for v in violations)
+
+
+def _fail_a_trace_property(monkeypatch):
+    failed = TracePropertyReport((PropertyCheck("P1", True), PropertyCheck("P2", False, "seeded")))
+    monkeypatch.setattr(scan, "check_trace_properties", lambda trace, instance: failed)
+
+
+def _reject_every_child(monkeypatch):
+    real, calls = scan.validate_instance, []
+
+    def rejecting(n, k, t):  # the first call validates the instance itself
+        calls.append((n, k, t))
+        if len(calls) > 1:
+            raise SumMismatchError("seeded")
+        return real(n, k, t)
+
+    monkeypatch.setattr(scan, "validate_instance", rejecting)
+
+
+def _drop_an_insertion(monkeypatch):
+    real = scan.solve_detailed
+    monkeypatch.setattr(scan, "solve_detailed", lambda instance: real(instance)._replace(insertions=instance.n - 1))
+
+
+def _lower_the_depth_limit(monkeypatch):
+    monkeypatch.setattr(scan, "depth_limit", lambda n, k: 0.5)  # not 0: run_scan divides by it
+
+
+# one seeded fault per violation kind, on (15, 3, 40), traced s go m: its
+# children are (9, 3, 15) and (5, 1, 15)
+SEEDED = {
+    "verify": (_rotate_meander_columns, ["set 1: sum 44 != 40"]),
+    "trace-property": (_fail_a_trace_property, ["P2: seeded"]),
+    "feasibility": (_reject_every_child, ["child (9, 3, 15): seeded", "child (5, 1, 15): seeded"]),
+    "insertions": (_drop_an_insertion, ["14 placements for n=15"]),
+    "depth": (_lower_the_depth_limit, ["depth 3 exceeds limit 0.5000"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SEEDED))
+def test_scan_instance_detects_seeded_bug(monkeypatch, kind):
+    seed, messages = SEEDED[kind]
+    seed(monkeypatch)
+    record, violations = scan_instance(15, 3, 40)
+    assert violations == [ScanViolation(15, 3, 40, kind, message) for message in messages]
+    assert record is not None and record.verified is False
+
+
+def test_scan_cli_reports_a_seeded_violation_and_exits_3(capsys, monkeypatch):
+    _drop_an_insertion(monkeypatch)
+    code = cli.main(["scan", "--n-min", "15", "--n-max", "15"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INVARIANT == 3
+    assert "violation: n=15 k=3 t=40 [insertions] 14 placements for n=15\n" in err

@@ -4,9 +4,10 @@ The oracle reads each set straight off ``plan``, one level at a time, and
 shares nothing else with the solver: the meander and an s-run give column j,
 two progressions of stride 2k, and ge/go give a finished pair or map j to
 one or two child sets. ``compose_window`` must build each single-set window
-exactly as the oracle states it, and ``column_chunk`` each chunk of a top
-column exactly as the oracle's column restricted to the chunk's blocks.
-``set_parts`` must cut each set into ascending parts that join to it.
+exactly as the oracle states it, and ``meander_columns`` each chunk of a
+top column exactly as the oracle's column restricted to the chunk's
+blocks. ``set_parts`` must cut each set into ascending parts that join to
+it.
 """
 
 import random
@@ -15,7 +16,7 @@ from itertools import chain
 import pytest
 
 from equipart.core import N_MAX, enumerate_instances, validate_instance
-from equipart.solver import column_chunk, compose_window, plan, set_parts
+from equipart.solver import compose_window, meander_columns, plan, set_parts
 from equipart.trace import TraceSymbol
 
 
@@ -53,35 +54,42 @@ def composed_set(trace, j):
     return sets[0]
 
 
-def test_every_set_up_to_400_is_its_progressions():
-    checked = 0
+@pytest.fixture(scope="module")
+def every_set_up_to_400():
+    """Every instance with n <= 400, its plan and each of its sets composed
+    as a window of its own, composed once for both tests that read them."""
+    instances = []
     for n in range(1, 401):
         for k, t in enumerate_instances(n):
             trace = plan(validate_instance(n, k, t))
-            for j in range(k):
-                want = sorted(chain.from_iterable(progressions(trace, j)))
-                assert list(composed_set(trace, j)) == want, (n, k, t, j)
-                checked += 1
+            instances.append(((n, k, t), trace, [composed_set(trace, j) for j in range(k)]))
+    return instances
+
+
+def test_every_set_up_to_400_is_its_progressions(every_set_up_to_400):
+    checked = 0
+    for (n, k, t), trace, sets in every_set_up_to_400:
+        for j, composed in enumerate(sets):
+            want = sorted(chain.from_iterable(progressions(trace, j)))
+            assert list(composed) == want, (n, k, t, j)
+            checked += 1
     assert checked == 128035
 
 
-def test_set_parts_join_to_every_set_up_to_400():
+def test_set_parts_join_to_every_set_up_to_400(every_set_up_to_400):
     # every part ascends from above the last one, a part after the first holds
     # at most one chunk of max(1, size // 2) blocks, two values each, and a ge
     # or go top yields its set whole
-    for n in range(1, 401):
-        for k, t in enumerate_instances(n):
-            trace = plan(validate_instance(n, k, t))
-            whole = trace.runs[0][0] in (TraceSymbol.GREATER_EVEN, TraceSymbol.GREATER_ODD)
-            for j in range(k):
-                want = compose_window(trace, j, j + 1)[0][0]
-                for size in (1, 2, 3, 17):
-                    parts = list(set_parts(trace, j, size))
-                    assert all(a[-1] < b[0] for a, b in zip(parts, parts[1:])), (n, k, j, size)
-                    assert all(list(part) == sorted(set(part)) for part in parts), (n, k, j, size)
-                    assert tuple(chain.from_iterable(parts)) == want, (n, k, j, size)
-                    assert all(len(part) <= 2 * max(1, size // 2) for part in parts[1:]), (n, k, j, size)
-                    assert parts and (len(parts) == 1 or not whole), (n, k, j, size)
+    for (n, k, t), trace, sets in every_set_up_to_400:
+        whole = trace.runs[0][0] in (TraceSymbol.GREATER_EVEN, TraceSymbol.GREATER_ODD)
+        for j, want in enumerate(sets):
+            for size in (1, 2, 3, 17):
+                parts = list(set_parts(trace, j, size))
+                assert all(a[-1] < b[0] for a, b in zip(parts, parts[1:])), (n, k, j, size)
+                assert all(list(part) == sorted(set(part)) for part in parts), (n, k, j, size)
+                assert tuple(chain.from_iterable(parts)) == want, (n, k, j, size)
+                assert all(len(part) <= 2 * max(1, size // 2) for part in parts[1:]), (n, k, j, size)
+                assert parts and (len(parts) == 1 or not whole), (n, k, j, size)
 
 
 def within(r, low, high):
@@ -122,6 +130,8 @@ def test_sampled_sets_near_n_max_are_their_progressions(seed):
                     for p in {0, (blocks - 1) // CHUNK * CHUNK, chunk_rng.randrange(blocks)}:
                         q = min(p + CHUNK, blocks)
                         chunk = chain.from_iterable(within(r, low + 2 * k * p, low + 2 * k * q) for r in ranges)
-                        assert list(column_chunk(trace, j, p, q)) == sorted(chunk), (n, k, t, j, p)
+                        [column] = meander_columns(low + 2 * k * p, low + 2 * k * q - 1, k, j, j + 1)
+                        column = column if column[0] else column[1:]  # the odd meander's 0
+                        assert list(column) == sorted(chunk), (n, k, t, j, p)
                     summed += 1
     assert listed and summed

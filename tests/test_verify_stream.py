@@ -11,6 +11,7 @@ layout, valid or not, and on every malformed file the CLI tests pin.
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -266,6 +267,13 @@ def test_runs_whose_cuts_disagree_are_read_whole(name):
     for read in range(1, len(content) + 2):
         (code, out, _), streamed = check_file(content, read)
         assert code != 0 and not out and not streamed, read
+
+
+def test_a_run_with_a_list_inside_a_set_is_not_a_run_of_sets():
+    # decodes as one set holding 1 and [2]; only the count of one [ per
+    # decoded list rejects it, before table_accepts sums a set holding a list
+    with pytest.raises(ValueError, match="not a run of integer sets"):
+        cli._set_run(b"[1, [2]]", False, json.loads)
 
 
 def test_a_large_solve_file_streams_in_many_runs():
