@@ -43,10 +43,8 @@ EXIT_INVARIANT = 3
 
 # the elements composed and written at a time: a window holds about this many, or one set
 _WINDOW = 1 << 14
-# the bytes verify reads at a time from a file in the layout solve writes
-_READ = 1 << 16
-# that layout up to its sets: positive n, k and t, then an optional trace
-_HEAD = rb'\{"n": ([1-9]\d*), "k": ([1-9]\d*), "t": ([1-9]\d*)(?:, "trace": "[a-z0-9 ^]*")?, "sets": \['
+_READ = 1 << 16  # the bytes verify reads at a time from a file it streams
+_SPACE = b" \t\n\r"  # JSON's whitespace: a bare strip() also takes \x0b and \x0c, which JSON rejects
 
 
 class _Encoder(dict):
@@ -168,15 +166,15 @@ def _set_run(run: bytes, continues: bool, loads: Callable[[bytes], Any]) -> tupl
     the run before left open, and one that does not close with ``]`` leaves
     its last set open; the run is wrapped to one list of lists, ``5, 6], [7``
     as ``[[5, 6], [7]]``. ValueError unless its bytes are digits, ``-``,
-    ``[``, ``]``, ``,`` and spaces, which spell only integers and lists; it
-    opens a set iff the run before closed its own; each decoded list has its
-    own ``[``, the wrapper's counted (and so its own ``]``), so no list sits
-    inside a set (an integer in place of a set has no length: TypeError in
-    ``table_accepts``); and the lists at both ends hold an element, so no
-    cut hides an empty one (``1,, 2`` or ``1, ]``)."""
-    if run.translate(None, b"0123456789-[], "):
+    ``[``, ``]``, ``,`` and JSON whitespace, which spell only integers and
+    lists; it opens a set iff the run before closed its own; each decoded
+    list has its own ``[``, the wrapper's counted (and so its own ``]``), so
+    no list sits inside a set (an integer in place of a set has no length:
+    TypeError in ``table_accepts``); and the lists at both ends hold an
+    element, so no cut hides an empty one (``1,, 2`` or ``1, ]``)."""
+    if run.translate(None, b"0123456789-[]," + _SPACE):
         raise ValueError("not a run of integer sets")
-    body = run.strip(b" ")
+    body = run.strip(_SPACE)
     opens, closes = body[:1] == b"[", body[-1:] == b"]"
     if opens is continues:
         raise ValueError("a run must open a set iff the run before closed its set")
@@ -187,10 +185,10 @@ def _set_run(run: bytes, continues: bool, loads: Callable[[bytes], Any]) -> tupl
 
 
 def _set_runs(pieces: Iterator[bytes], loads: Callable[[bytes], Any]) -> Iterator[tuple[list, bool]]:
-    """The sets that follow ``"sets": [`` in the pieces of a file, a run per
-    piece that holds a ``,``, cut at its last one, so a run may start or end
-    inside a set. ValueError unless the sets close the file with ``]}`` and
-    whitespace."""
+    """The sets after the ``[`` that opens them, in the pieces of a file: a
+    run per piece that holds a ``,``, cut at its last one, so a run may
+    start or end inside a set. ValueError unless the sets close the file:
+    ``]``, then ``}``, each followed by JSON whitespace or nothing."""
     pending: list[bytes] = []
     continues = False  # whether the last run left a set open
     for piece in pieces:
@@ -202,18 +200,17 @@ def _set_runs(pieces: Iterator[bytes], loads: Callable[[bytes], Any]) -> Iterato
         lists, continues = _set_run(b"".join(pending), continues, loads)
         yield lists, continues
         pending = [piece[cut + 1 :]]
-    tail = b"".join(pending).rstrip(b" \t\n\r")
-    if not tail.endswith(b"]}"):
+    tail = b"".join(pending).rstrip(_SPACE)
+    if tail[-1:] != b"}" or not (sets := tail[:-1].rstrip(_SPACE)).endswith(b"]"):
         raise ValueError("the sets do not close the file")
-    yield _set_run(tail[:-2], continues, loads)
+    yield _set_run(sets[:-1], continues, loads)
 
 
 def _streamed_instance(path: str) -> ProblemInstance | None:
-    """The instance of a file in the layout ``solve --format json`` writes, if
-    its sets are a partition of it, read ``_READ`` bytes at a time; None, or
-    an exception, for any other file."""
+    """The instance of a JSON object whose last member is ``"sets"``, if its
+    sets are a partition of it, read ``_READ`` bytes at a time; None, or an
+    exception, for any other file."""
     import json
-    import re
 
     if not os.path.isfile(path):  # a pipe read here could not be read again
         return None
@@ -227,10 +224,13 @@ def _streamed_instance(path: str) -> ProblemInstance | None:
                 break
         else:
             return None
-        match = re.fullmatch(_HEAD, bytes(head[: bracket + 1]))
-        if match is None:
+        # the object before its sets, closed by a stand-in " 0}", spaced so a "-" or digit before the "["
+        # stays one token; as text, since json.loads takes a BOM or UTF-16 in bytes; as pairs, since a dict
+        # keeps a repeated key where it first came (dict(pairs) takes its last value, as json.load does)
+        members = json.loads(head[:bracket].decode("utf-8") + " 0}", object_pairs_hook=list)
+        if members[-1][0] != "sets":
             return None
-        instance = validate_instance(*map(int, match.groups()))
+        instance = validate_instance(*map(dict(members).__getitem__, "nkt"))
         if os.fstat(handle.fileno()).st_size < instance.n:
             return None  # each element takes a digit: a header alone sizes no table
         runs = _set_runs(chain((bytes(head[bracket + 1 :]),), pieces), json.loads)
@@ -242,7 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         instance = _streamed_instance(args.path)
-    except (OSError, ValueError, TypeError, RecursionError, MemoryError):
+    except (OSError, ValueError, TypeError, KeyError, RecursionError, MemoryError):
         instance = None  # any file the stream does not accept is read whole, for its verdict
     if instance is None:
         with open(args.path, encoding="utf-8") as handle:  # main reports a path it cannot open

@@ -475,11 +475,12 @@ def test_verify_sizes_no_table_by_a_header_alone(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_streams_a_solve_file_in_a_fraction_of_the_memory(tmp_path):
-    # (2*10^5, 10^5) as solve writes it against a compact copy, read whole;
-    # and (2*10^5, 3), whose sets of 66,667 elements each span many reads:
-    # the stream holds the table of n + 1 bytes and a few reads' bytes and
-    # lists (about 1.5 MB), never a set (one set's ints and list alone take
-    # 2.4 MB, and the file's peak was 7.2 MB when a run held whole sets)
+    # (2*10^5, 10^5) as solve writes it, and a copy without spaces, against
+    # a copy with its sets first, read whole; and (2*10^5, 3), whose sets of
+    # 66,667 elements each span many reads: the stream holds the table of
+    # n + 1 bytes and a few reads' bytes and lists (about 1.5 MB), never a set
+    # (one set's ints and list alone take 2.4 MB, and the file's peak was
+    # 7.2 MB when a run held whole sets)
     import tracemalloc
 
     def verify_peak(path, n, k, t):
@@ -499,10 +500,12 @@ def test_verify_streams_a_solve_file_in_a_fraction_of_the_memory(tmp_path):
         with open(path, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
             assert main(["solve", "--n", "200000", "--k", str(k), "--format", "json"]) == 0
         peaks.append(verify_peak(path, 200000, k, triangular(200000) // k))
-    compact = tmp_path / "compact.json"
-    compact.write_text(json.dumps(json.loads((tmp_path / "solve-100000.json").read_text()), separators=(",", ":")))
-    peaks.append(verify_peak(compact, 200000, 100000, 200001))
-    assert peaks[0] < peaks[2] / 4, peaks
+    payload = json.loads((tmp_path / "solve-100000.json").read_text())
+    copies = {"compact.json": payload, "sets-first.json": {"sets": payload["sets"], **payload}}
+    for name, copy in copies.items():
+        (tmp_path / name).write_text(json.dumps(copy, separators=(",", ":")))
+        peaks.append(verify_peak(tmp_path / name, 200000, 100000, 200001))
+    assert peaks[0] < peaks[3] / 4 and peaks[2] < peaks[3] / 4, peaks
     assert peaks[1] < 200001 + 24 * cli._READ, peaks
 
 

@@ -68,21 +68,28 @@ def lines_run(limit, func, *args):
     """Call func, counting the lines it runs; raise LineBudgetExceeded past limit.
 
     A count, not a clock, so the bound holds on any machine and stops a
-    search that would run for hours at once."""
+    search that would run for hours at once. A trace function already set
+    (a coverage run, a debugger) still gets every event."""
     count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-            if count > limit:
-                raise LineBudgetExceeded(f"{func.__name__} ran more than {limit} lines")
-        return local
+    previous = sys.gettrace()
 
     def calls(frame, event, arg):
-        return local if frame.f_code is func.__code__ else None
+        inner = previous(frame, event, arg) if previous else None
+        if frame.f_code is not func.__code__:
+            return inner
 
-    previous = sys.gettrace()
+        def local(frame, event, arg):
+            nonlocal count, inner
+            if inner is not None:
+                inner = inner(frame, event, arg)
+            if event == "line":
+                count += 1
+                if count > limit:
+                    raise LineBudgetExceeded(f"{func.__name__} ran more than {limit} lines")
+            return local
+
+        return local
+
     sys.settrace(calls)
     try:
         return func(*args), count
@@ -99,6 +106,26 @@ def test_equal_rooms_are_tried_once(triple):
     result, lines = lines_run(5000, brute_force_partition, ProblemInstance(*triple))
     assert result is None
     assert lines > 100
+
+
+def test_a_line_tracer_still_sees_the_budgeted_search():
+    # a coverage run or a line tracer set before lines_run still records the
+    # oracle's lines while they are counted, and the count is the same
+    _, alone = lines_run(5000, brute_force_partition, ProblemInstance(16, 8, 16))
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename == brute_force_partition.__code__.co_filename:
+            seen.add(frame.f_lineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        test_equal_rooms_are_tried_once((16, 8, 16))
+        _, traced = lines_run(5000, brute_force_partition, ProblemInstance(16, 8, 16))
+    finally:
+        sys.settrace(None)
+    assert len(seen) > 10 and traced == alone
 
 
 def test_search_deeper_than_the_stack_is_solved():

@@ -1,11 +1,11 @@
 """Differential check: ``equipart verify`` against the frozen whole-file reference.
 
-``verify`` streams a file in the layout ``solve --format json`` writes, one
-run at a time, each cut at the last comma of a read, so a run may start or
-end inside a set; it reads any other file, and any file the stream does not
-accept, whole. ``reference_verify`` is ``verify`` as it was when it read
-every file whole. Both must print the same and exit with the
-same code on every file tried: at read sizes down to one byte, in every
+``verify`` streams a JSON object whose last member is its sets, in any JSON
+whitespace, one run at a time, each cut at the last comma of a read, so a
+run may start or end inside a set; it reads any other file, and any file
+the stream does not accept, whole. ``reference_verify`` is ``verify`` as it
+was when it read every file whole. Both must print the same and exit with
+the same code on every file tried: at read sizes down to one byte, in every
 layout, valid or not, and on every malformed file the CLI tests pin.
 """
 
@@ -66,19 +66,22 @@ def sets_text(sets, sep=", "):
     return "[" + sep.join("[" + sep.join(map(str, members)) + "]" for members in sets) + "]"
 
 
-# name -> (whether it is the layout solve writes, a template): {h} is solve's
-# header without its trace, {s} the sets as solve writes them, {c} the sets
-# without spaces and {nl} with a newline after each comma
+# name -> (whether its sets close the object, so it streams, a template):
+# {h} is solve's header without its trace, {s} the sets as solve writes
+# them, {c} the sets without spaces, {nl} with a newline after each comma,
+# {ind} as json.dumps(..., indent=1) writes them and {tc} with tabs and CRLF
 LAYOUTS = {
     "solve": (True, '{{{h}, "trace": "{tr}", "sets": {s}}}\n'),
     "no-trace": (True, '{{{h}, "sets": {s}}}'),
     "whitespace-tail": (True, '{{{h}, "sets": {s}}} \r\n\t '),
-    # solve's header, sets without spaces: cut at commas all the same
     "compact-sets": (True, '{{{h}, "sets": {c}}}'),
-    "compact": (False, '{{"n":{n},"k":{k},"t":{t},"sets":{c}}}'),
-    "reordered": (False, '{{"k": {k}, "n": {n}, "t": {t}, "sets": {s}}}'),
+    "compact": (True, '{{"n":{n},"k":{k},"t":{t},"sets":{c}}}'),
+    "reordered": (True, '{{"k": {k}, "n": {n}, "t": {t}, "sets": {s}}}'),
+    # json.dumps(dict(k=k, t=t, n=n, sets=sets), indent=1)
+    "indent": (True, '{{\n "k": {k},\n "t": {t},\n "n": {n},\n "sets": {ind}\n}}'),
+    "tabs-crlf": (True, '{{\t"n": {n},\r\n\t"k": {k},\r\n\t"t": {t},\r\n\t"sets":\t{tc}\r\n}}\r\n'),
     "sets-first": (False, '{{"sets": {s}, {h}}}'),
-    "extra-key-before": (False, '{{{h}, "x": 1, "sets": {s}}}'),
+    "extra-key-before": (True, '{{{h}, "x": 1, "sets": {s}}}'),
     "extra-key-after": (False, '{{{h}, "sets": {s}, "x": 1}}'),
     "duplicate-sets-first": (False, '{{{h}, "sets": [[1]], "sets": {s}}}'),
     "duplicate-sets-last": (False, '{{{h}, "sets": {s}, "sets": [[1]]}}'),
@@ -87,22 +90,48 @@ LAYOUTS = {
     "nested-sets-before": (False, '{{{h}, "meta": {{"sets": [[1]]}}, "sets": {s}}}'),
     "nested-sets-after": (False, '{{{h}, "sets": {s}, "meta": {{"sets": [[1]]}}}}'),
     "nested-file": (False, '{{"file": {{{h}, "sets": {s}}}}}'),
-    "leading-space": (False, ' {{{h}, "sets": {s}}}'),
-    "newline-in-sets": (False, '{{{h}, "sets": {nl}}}'),
-    "escaped-trace": (False, '{{{h}, "trace": "\\u006d", "sets": {s}}}'),
+    "leading-space": (True, ' {{{h}, "sets": {s}}}'),
+    "newline-in-sets": (True, '{{{h}, "sets": {nl}}}'),
+    "escaped-trace": (True, '{{{h}, "trace": "\\u006d", "sets": {s}}}'),
+    # JSON text must be UTF-8 without a BOM, or json.load of the file rejects it
+    "utf8-bom": (False, '\ufeff{{{h}, "sets": {s}}}'),
+    "utf16": (False, '{{{h}, "sets": {s}}}'),
+    # in key order "sets" comes last, but the member that closes the object is "x"
+    "repeated-key": (False, '{{{h}, "x": 1, "sets": 0, "x": {s}}}'),
+    # not JSON whitespace, though bytes.strip() takes it
+    "form-feed-tail": (False, '{{{h}, "sets": {s}}}\x0c'),
+    # a token cut at the "[" that a stand-in 0 for the sets would complete
+    "minus-before-sets": (False, '{{{h}, "sets": -{s}}}'),
+    "digit-before-sets": (False, '{{{h}, "sets": 1{s}}}'),
 }
+
+
+def indented(sets):
+    """The sets as json.dumps(..., indent=1) writes them one level down; an
+    element may be a JSON token as a str."""
+    rows = [
+        "  [\n" + ",\n".join(f"   {x}" for x in members) + "\n  ]" if members else "  []" for members in sets
+    ]
+    return "[\n" + ",\n".join(rows) + "\n ]" if sets else "[]"
 
 
 def render(layout, n, k, t, trace, sets):
     header = f'"n": {n}, "k": {k}, "t": {t}'
-    spellings = {"s": sets_text(sets), "c": sets_text(sets, ","), "nl": sets_text(sets, ",\n")}
-    return LAYOUTS[layout][1].format(h=header, n=n, k=k, t=t, tr=trace, **spellings).encode("utf-8")
+    spellings = {
+        "s": sets_text(sets),
+        "c": sets_text(sets, ","),
+        "nl": sets_text(sets, ",\n"),
+        "ind": indented(sets),
+        "tc": sets_text(sets, ",\r\n\t"),
+    }
+    text = LAYOUTS[layout][1].format(h=header, n=n, k=k, t=t, tr=trace, **spellings)
+    return text.encode("utf-16" if layout == "utf16" else "utf-8")
 
 
 STREAMED = sorted(name for name, (streams, _) in LAYOUTS.items() if streams)
 TOKENS = ["true", "false", "null", "1.0", "1e0", "1.5", "-0", "01", '"1"', "[1]", "[]", "1" * 5000, "{}"]
 INSTANCES = [(n, k, t) for n in range(1, 41) for k, t in enumerate_instances(n)]
-BYTES = b'[],.- 09e"{}x\n\xff'
+BYTES = b'[],.- 09e"{}x\n\t\r\x0b\x0c\xff'
 
 
 @st.composite
@@ -162,7 +191,7 @@ def test_verify_matches_the_whole_file_reference(candidate, layout, damage, wher
         assert (code, out) == (0, f"ok: valid partition of 1..{n} into {k} sets of sum {t}\n")
     assert code == 0 or not streamed  # the stream only ever accepts
     if damage == "none" and content != render("no-trace", n, k, t, trace, sets):
-        # a partition in solve's layout streams; no file in another layout does
+        # a partition whose sets close the object streams; no other file does
         assert streamed is (streams and code == 0), layout
 
 
@@ -174,7 +203,7 @@ def _solved_file(n, k):
 
 @pytest.mark.parametrize(
     "edit,expected",  # (exit code, whether the file streamed)
-    [("none", (0, True)), ("element", (2, False)), ("duplicate", (2, False)), ("tail", (0, False))],
+    [("none", (0, True)), ("element", (2, False)), ("duplicate", (2, False)), ("tail", (0, True))],
 )
 def test_every_read_size_cuts_a_solve_file_the_same(edit, expected):
     # n = 40, k = 10: two-digit elements, so some read cuts inside a number,
@@ -184,12 +213,28 @@ def test_every_read_size_cuts_a_solve_file_the_same(edit, expected):
         content = content.replace(b"21, 40]", b"21, 39]")
     elif edit == "duplicate":
         content = content.replace(b"]]}", b", 1]]}")
-    elif edit == "tail":  # still JSON, but not solve's layout
+    elif edit == "tail":  # not solve's layout, but the sets still close the object
         content = content.replace(b"]]}", b"]] }")
     assert (edit == "none") is (content == _solved_file(40, 10))
     for read in range(1, len(content) + 2):
         (code, _, _), streamed = check_file(content, read)
         assert (code, streamed) == expected, read
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_every_read_size_cuts_each_layout_the_same(layout):
+    # a partition of (9, 3, 15) in each layout, read from one byte at a time
+    # to the whole file: it streams, at every size, iff its sets close the object
+    n, k, t = 9, 3, 15
+    partition, trace = solve(validate_instance(n, k, t))
+    sets = [list(members) for members in partition.sets]
+    content = render(layout, n, k, t, render_trace(trace), sets)
+    if layout == "indent":
+        assert content == json.dumps({"k": k, "t": t, "n": n, "sets": sets}, indent=1).encode()
+    streams = LAYOUTS[layout][0]
+    for read in range(1, len(content) + 2):
+        (code, _, _), streamed = check_file(content, read)
+        assert streamed is streams and (code == 0 or not streams), read
 
 
 def _compact(content):
